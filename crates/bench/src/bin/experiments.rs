@@ -589,40 +589,72 @@ fn parse_net_spec(text: &str) -> Result<powersparse_engine::NetworkSpec, String>
     Ok(spec)
 }
 
+/// The value following `flag`, or exit 2 with `FLAG requires a value
+/// (USAGE)` — the one missing-value path every subcommand shares.
+fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str, usage: &str) -> &'a str {
+    it.next().map(String::as_str).unwrap_or_else(|| {
+        eprintln!("{flag} requires a value ({usage})");
+        std::process::exit(2);
+    })
+}
+
+/// Parses `flag`'s value, or exits 2 naming the flag and the `expected`
+/// form.
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str, expected: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("cannot parse {flag} '{value}' ({expected})");
+        std::process::exit(2);
+    })
+}
+
+/// The `--net SPEC` value following the flag, strictly parsed (see
+/// [`parse_net_spec`]); exits 2 on a missing or malformed spec.
+fn net_flag(it: &mut std::slice::Iter<'_, String>, usage: &str) -> powersparse_engine::NetworkSpec {
+    let value = flag_value(it, "--net", usage);
+    parse_net_spec(value).unwrap_or_else(|e| {
+        eprintln!("cannot parse --net '{value}': {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The `--repeats R` value following the flag: an integer ≥ 1, else
+/// exit 2.
+fn repeats_flag(it: &mut std::slice::Iter<'_, String>, flag: &str, usage: &str) -> usize {
+    let value = flag_value(it, flag, usage);
+    match value.parse::<usize>() {
+        Ok(v) if v >= 1 => v,
+        _ => {
+            eprintln!("cannot parse {flag} '{value}' (an integer >= 1)");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Applies one chaos flag to `spec`, keyed by its last word
+/// (`--seed S` / `--kills N` / `--corruptions N`, or the `--chaos-`
+/// prefixed suite forms), exiting 2 on a malformed value.
+fn chaos_flag(spec: &mut powersparse_workloads::ChaosSpec, flag: &str, value: &str) {
+    match flag.rsplit('-').next() {
+        Some("seed") => spec.seed = parse_flag(flag, value, "a u64 seed"),
+        Some("kills") => spec.kills = parse_flag(flag, value, "an event count"),
+        _ => spec.corruptions = parse_flag(flag, value, "an event count"),
+    }
+}
+
 /// Strict `engines` argument parsing: `--out MANIFEST.json` plus a
 /// repeatable `--net SPEC` adding one shaped-wire profile per flag to
 /// the latency-scaling rows.
 fn engines_cmd(args: &[String]) {
+    let usage = "usage: experiments engines [--out MANIFEST.json] [--net SPEC]...";
     let mut out: Option<String> = None;
     let mut nets: Vec<powersparse_engine::NetworkSpec> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--out requires a value");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--net" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!(
-                        "--net requires a spec like \
-                         latency_us=200,bandwidth_bytes_per_s=16777216,jitter_seed=7"
-                    );
-                    std::process::exit(2);
-                });
-                nets.push(parse_net_spec(value).unwrap_or_else(|e| {
-                    eprintln!("cannot parse --net '{value}': {e}");
-                    std::process::exit(2);
-                }));
-            }
+            "--out" => out = Some(flag_value(&mut it, arg, usage).to_string()),
+            "--net" => nets.push(net_flag(&mut it, usage)),
             other => {
-                eprintln!("unknown engines argument '{other}' (usage: experiments engines [--out MANIFEST.json] [--net SPEC]...)");
+                eprintln!("unknown engines argument '{other}' ({usage})");
                 std::process::exit(2);
             }
         }
@@ -630,334 +662,107 @@ fn engines_cmd(args: &[String]) {
     engines_exp(out.as_deref(), &nets);
 }
 
-/// E9 — Engine comparison: sequential `Simulator` vs the sharded,
-/// pooled, and multi-process `powersparse-engine` backends running Luby
-/// MIS on `G`, with the bit-for-bit parity of outputs and `Metrics`
-/// re-verified on every row. Each `--net` shaping profile adds a
-/// latency-scaling block: the process engine re-runs under that shaped
-/// wire with repeat statistics (mean ± 95% CI over 3 invocations), and
-/// its counters are asserted identical to the unshaped run — shaping
-/// may move wall clock only. With `--out`, the table is also written as a `SuiteManifest`
-/// (suite `engines`) so `experiments trend` can track the engine
-/// trajectory alongside the scenario suite — `BENCH_engine.json` is the
-/// committed instance.
+/// E9 — Engine comparison: seed-42 Luby MIS on `gnp(n, d=8)` for
+/// n ∈ {10³, 10⁴, 10⁵}, on the sequential reference and on the pooled
+/// and process backends at 2/4/8 shards. Each `--net` shaping profile
+/// adds shaped process rows at 2 and 4 shards on n = 10³. Every row is
+/// a [`Scenario`](powersparse_workloads::Scenario) run by the suite
+/// runner (3 timed invocations + 1 warmup, mean ± 95% CI), so each
+/// re-runs from its recorded identity; every row's counters are
+/// asserted equal to the sequential row for its n — the engine
+/// contract, and for shaped rows the promise that shaping moves wall
+/// clock only. With `--out` the rows are written as a `SuiteManifest`
+/// (suite `engines`); `BENCH_engine.json` is the committed instance.
 fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
-    use powersparse_congest::engine::{Metrics, RoundEngine};
-    use powersparse_engine::{PooledSimulator, ProcessSimulator, ShardedSimulator};
-    use powersparse_workloads::{PhaseWall, RunRecord, SuiteManifest, Validation, WallStats};
-    use std::time::Instant;
+    use powersparse_workloads::{
+        run_suite_with, GraphFamily, Repeat, RunOptions, RunRecord, Scenario,
+    };
+
+    let gnp = |n: usize| Scenario::new(GraphFamily::Gnp { n, avg_deg: 8.0 }).seed(42);
+    let mut scenarios = Vec::new();
+    for n in [1_000usize, 10_000, 100_000] {
+        scenarios.push(gnp(n));
+        for shards in [2usize, 4, 8] {
+            scenarios.push(gnp(n).pooled(shards));
+            scenarios.push(gnp(n).process(shards));
+        }
+    }
+    for &net in nets {
+        for shards in [2usize, 4] {
+            scenarios.push(gnp(1_000).process(shards).network(net));
+        }
+    }
+    let opts = RunOptions {
+        repeat: Repeat {
+            invocations: 3,
+            iterations: 1,
+            warmup: 1,
+        },
+        ..RunOptions::default()
+    };
+    let manifest = run_suite_with("engines", &scenarios, &opts)
+        .unwrap_or_else(|e| panic!("engines run failed: {e}"));
 
     println!("\n## E9: Round-engine comparison — Luby MIS on G, wall clock\n");
     println!(
         "{}",
         row(&[
-            "n",
+            "run",
             "m",
-            "engine",
-            "wall",
+            "wall (mean±ci95)",
             "speedup",
-            "vs sharded",
             "rounds",
-            "identical to sequential"
+            "messages"
         ]
         .map(String::from))
     );
-    println!("{}", row(&["---"; 8].map(String::from)));
-    let mut runs: Vec<RunRecord> = Vec::new();
-    let mut record = |g: &powersparse_graphs::Graph,
-                      n: usize,
-                      engine: &str,
-                      shards: usize,
-                      metrics: &Metrics,
-                      mis_size: u64,
-                      build_us: u64,
-                      run_us: u64| {
-        runs.push(RunRecord {
-            name: format!(
-                "gnp(n={n},d=8)/k1/luby_mis/{engine}{}",
-                if engine == "sequential" {
-                    String::new()
-                } else {
-                    shards.to_string()
-                }
-            ),
-            family: "gnp".into(),
-            graph: format!("gnp(n={n},d=8)"),
-            n: n as u64,
-            m: g.m() as u64,
-            max_degree: g.max_degree() as u64,
-            k: 1,
-            seed: 42,
-            algorithm: "luby_mis".into(),
-            engine: engine.into(),
-            shards: shards as u64,
-            net: None,
-            recovery: None,
-            rounds: metrics.rounds,
-            charged_rounds: metrics.charged_rounds,
-            messages: metrics.messages,
-            bits: metrics.bits,
-            peak_queue_depth: metrics.peak_queue_depth,
-            arena_cells_peak: metrics.arena_cells_peak,
-            arena_bytes_peak: metrics.arena_bytes_peak,
-            alloc_count: 0,
-            alloc_bytes_peak: 0,
-            output_size: mis_size,
-            wall: PhaseWall {
-                build_us,
-                run_us,
-                validate_us: 0,
-            },
-            wall_stats: WallStats::single(run_us),
-            profile: None,
-            trace: None,
-            validation: Validation {
-                passed: true,
-                detail: "outputs + Metrics bit-for-bit vs the sequential reference".into(),
-            },
-        });
+    println!("{}", row(&["---"; 6].map(String::from)));
+    let counters = |r: &RunRecord| {
+        (
+            r.rounds,
+            r.charged_rounds,
+            r.messages,
+            r.bits,
+            r.peak_queue_depth,
+            r.arena_cells_peak,
+            r.arena_bytes_peak,
+            r.output_size,
+        )
     };
-    for n in [1_000usize, 10_000, 100_000] {
-        let t = Instant::now();
-        let g = generators::connected_sparse_gnp(n, 8.0, 42);
-        let build_us = t.elapsed().as_micros() as u64;
-        let config = SimConfig::for_graph(&g);
-        let start = Instant::now();
-        let mut seq = Simulator::new(&g, config);
-        let want = luby_mis(&mut seq, 1, 3);
-        let seq_wall = start.elapsed();
-        assert!(check::is_mis(&g, &generators::members(&want)));
-        let mis_size = want.iter().filter(|&&b| b).count() as u64;
-        record(
-            &g,
-            n,
-            "sequential",
-            1,
-            seq.metrics(),
-            mis_size,
-            build_us,
-            seq_wall.as_micros() as u64,
+    for run in &manifest.runs {
+        let seq = manifest
+            .runs
+            .iter()
+            .find(|r| r.n == run.n && r.engine == "sequential")
+            .expect("every size has a sequential row");
+        assert!(
+            run.validation.passed && counters(run) == counters(seq),
+            "{} diverged from the sequential row: {}",
+            run.name,
+            run.validation.detail
         );
         println!(
             "{}",
             row(&[
-                n.to_string(),
-                g.m().to_string(),
-                "sequential".into(),
-                format!("{seq_wall:.2?}"),
-                "1.00x".into(),
-                "-".into(),
-                seq.metrics().rounds.to_string(),
-                "-".into(),
+                run.name.clone(),
+                run.m.to_string(),
+                format!(
+                    "{:.1}±{:.1}ms",
+                    run.wall_stats.mean_us / 1000.0,
+                    run.wall_stats.ci95_us / 1000.0
+                ),
+                format!("{:.2}x", seq.wall_stats.mean_us / run.wall_stats.mean_us),
+                run.rounds.to_string(),
+                run.messages.to_string(),
             ])
         );
-        for shards in [2usize, 4, 8] {
-            let start = Instant::now();
-            let mut sharded = ShardedSimulator::with_shards(&g, config, shards);
-            let got = luby_mis(&mut sharded, 1, 3);
-            let sharded_wall = start.elapsed();
-            assert!(
-                got == want && RoundEngine::metrics(&sharded) == seq.metrics(),
-                "sharded engine diverged at {shards} shards on n={n}"
-            );
-            record(
-                &g,
-                n,
-                "sharded",
-                shards,
-                RoundEngine::metrics(&sharded),
-                mis_size,
-                build_us,
-                sharded_wall.as_micros() as u64,
-            );
-            println!(
-                "{}",
-                row(&[
-                    n.to_string(),
-                    g.m().to_string(),
-                    format!("sharded({shards})"),
-                    format!("{sharded_wall:.2?}"),
-                    format!(
-                        "{:.2}x",
-                        seq_wall.as_secs_f64() / sharded_wall.as_secs_f64()
-                    ),
-                    "1.00x".into(),
-                    RoundEngine::metrics(&sharded).rounds.to_string(),
-                    "yes".into(),
-                ])
-            );
-            let start = Instant::now();
-            let mut pooled = PooledSimulator::with_shards(&g, config, shards);
-            let got = luby_mis(&mut pooled, 1, 3);
-            let pooled_wall = start.elapsed();
-            assert!(
-                got == want && RoundEngine::metrics(&pooled) == seq.metrics(),
-                "pooled engine diverged at {shards} shards on n={n}"
-            );
-            record(
-                &g,
-                n,
-                "pooled",
-                shards,
-                RoundEngine::metrics(&pooled),
-                mis_size,
-                build_us,
-                pooled_wall.as_micros() as u64,
-            );
-            println!(
-                "{}",
-                row(&[
-                    n.to_string(),
-                    g.m().to_string(),
-                    format!("pooled({shards})"),
-                    format!("{pooled_wall:.2?}"),
-                    format!("{:.2}x", seq_wall.as_secs_f64() / pooled_wall.as_secs_f64()),
-                    format!(
-                        "{:.2}x",
-                        sharded_wall.as_secs_f64() / pooled_wall.as_secs_f64()
-                    ),
-                    RoundEngine::metrics(&pooled).rounds.to_string(),
-                    "yes".into(),
-                ])
-            );
-            let start = Instant::now();
-            let mut process = ProcessSimulator::with_shards(&g, config, shards);
-            let got = luby_mis(&mut process, 1, 3);
-            let process_wall = start.elapsed();
-            assert!(
-                got == want && RoundEngine::metrics(&process) == seq.metrics(),
-                "process engine diverged at {shards} shards on n={n}"
-            );
-            record(
-                &g,
-                n,
-                "process",
-                shards,
-                RoundEngine::metrics(&process),
-                mis_size,
-                build_us,
-                process_wall.as_micros() as u64,
-            );
-            println!(
-                "{}",
-                row(&[
-                    n.to_string(),
-                    g.m().to_string(),
-                    format!("process({shards})"),
-                    format!("{process_wall:.2?}"),
-                    format!(
-                        "{:.2}x",
-                        seq_wall.as_secs_f64() / process_wall.as_secs_f64()
-                    ),
-                    format!(
-                        "{:.2}x",
-                        sharded_wall.as_secs_f64() / process_wall.as_secs_f64()
-                    ),
-                    RoundEngine::metrics(&process).rounds.to_string(),
-                    "yes".into(),
-                ])
-            );
-        }
     }
     println!(
-        "\nIdentical = same MIS mask, same Metrics (rounds, messages, bits, peak queue depth).\n\
-         `vs sharded` = sharded wall / this engine's wall at the same shard count \
-         (> 1.00x means the pool or process backend wins; the process rows pay the \
-         wire codec + socket splice tax on every round)."
+        "\nEvery row re-validated its MIS and matched the sequential row for its n on every \
+         counter; speedup = sequential mean wall / this row's. Shaped rows \
+         (`+net(...)`) move wall clock only."
     );
-    if !nets.is_empty() {
-        use powersparse_workloads::{
-            run_scenario, run_scenario_with, GraphFamily, Repeat, RunOptions, Scenario,
-        };
-        println!("\n### Latency scaling — shaped process wire, Luby MIS on gnp(n=1000,d=8)\n");
-        println!(
-            "{}",
-            row(&[
-                "latency",
-                "bandwidth B/s",
-                "jitter",
-                "shards",
-                "wall (mean±ci95)",
-                "rounds",
-                "counters = unshaped"
-            ]
-            .map(String::from))
-        );
-        println!("{}", row(&["---"; 7].map(String::from)));
-        let scaling_shards = [2usize, 4];
-        let base = |shards: usize| {
-            Scenario::new(GraphFamily::Gnp {
-                n: 1_000,
-                avg_deg: 8.0,
-            })
-            .seed(42)
-            .process(shards)
-        };
-        // Unshaped reference counters per shard count, for the parity
-        // column (not recorded: the main table already carries the
-        // unshaped process rows).
-        let reference: Vec<_> = scaling_shards
-            .iter()
-            .map(|&shards| run_scenario(&base(shards)).expect("unshaped reference run"))
-            .collect();
-        let opts = RunOptions {
-            repeat: Repeat {
-                invocations: 3,
-                iterations: 1,
-                warmup: 1,
-            },
-            trace: None,
-            profile: false,
-            chaos: None,
-        };
-        for &net in nets {
-            for (i, &shards) in scaling_shards.iter().enumerate() {
-                let sc = base(shards).network(net);
-                let rec = run_scenario_with(&sc, &opts)
-                    .unwrap_or_else(|e| panic!("shaped run failed: {}: {e}", sc.name()));
-                let want = &reference[i];
-                assert!(
-                    rec.rounds == want.rounds
-                        && rec.messages == want.messages
-                        && rec.bits == want.bits
-                        && rec.peak_queue_depth == want.peak_queue_depth
-                        && rec.output_size == want.output_size,
-                    "shaped wire changed a gated counter on {}",
-                    sc.name()
-                );
-                println!(
-                    "{}",
-                    row(&[
-                        format!("{}us", net.latency_us),
-                        if net.bandwidth_bytes_per_s == 0 {
-                            "inf".into()
-                        } else {
-                            net.bandwidth_bytes_per_s.to_string()
-                        },
-                        net.jitter_seed.to_string(),
-                        shards.to_string(),
-                        format!(
-                            "{:.1}±{:.1}ms",
-                            rec.wall_stats.mean_us / 1000.0,
-                            rec.wall_stats.ci95_us / 1000.0
-                        ),
-                        rec.rounds.to_string(),
-                        "yes".into(),
-                    ])
-                );
-                runs.push(rec);
-            }
-        }
-        println!(
-            "\nEvery shaped row re-validated its MIS and matched the unshaped process \
-             counters exactly; only wall clock moves with the modeled wire."
-        );
-    }
     if let Some(path) = out {
-        let manifest = SuiteManifest {
-            suite: "engines".into(),
-            runs,
-        };
         std::fs::write(path, manifest.to_json_string())
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("\nmanifest written to {path}");
@@ -972,27 +777,16 @@ fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
 fn trend_cmd(args: &[String]) {
     use powersparse_workloads::{SuiteManifest, TrendReport};
 
+    let usage = "usage: experiments trend [DIR] [--out REPORT.json]";
     let mut dir: Option<String> = None;
     let mut out: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--out requires a value");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
+            "--out" => out = Some(flag_value(&mut it, arg, usage).to_string()),
             other if dir.is_none() && !other.starts_with('-') => dir = Some(other.to_string()),
             other => {
-                eprintln!(
-                    "unknown trend argument '{other}' \
-                     (usage: experiments trend [DIR] [--out REPORT.json])"
-                );
+                eprintln!("unknown trend argument '{other}' ({usage})");
                 std::process::exit(2);
             }
         }
@@ -1070,6 +864,7 @@ fn find_builtin_scenario(target: &str) -> powersparse_workloads::Scenario {
 fn trace_cmd(args: &[String]) {
     use powersparse_workloads::{run_scenario_with, Json, Repeat, RunOptions, Scenario, TraceRow};
 
+    let usage = "usage: experiments trace SCENARIO [--limit N] [--out FILE.json]";
     let mut target: Option<String> = None;
     let mut limit = 0usize;
     let mut out: Option<String> = None;
@@ -1077,42 +872,21 @@ fn trace_cmd(args: &[String]) {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--limit" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("--limit requires a value");
-                    std::process::exit(2);
-                });
-                limit = value.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("cannot parse limit '{value}' (a row count; 0 = every round)");
-                    std::process::exit(2);
-                });
+                let value = flag_value(&mut it, arg, usage);
+                limit = parse_flag(arg, value, "a row count; 0 = every round");
             }
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--out requires a path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
+            "--out" => out = Some(flag_value(&mut it, arg, usage).to_string()),
             other if target.is_none() && !other.starts_with('-') => {
                 target = Some(other.to_string());
             }
             other => {
-                eprintln!(
-                    "unknown trace argument '{other}' \
-                     (usage: experiments trace SCENARIO [--limit N] [--out FILE.json])"
-                );
+                eprintln!("unknown trace argument '{other}' ({usage})");
                 std::process::exit(2);
             }
         }
     }
     let Some(target) = target else {
-        eprintln!(
-            "trace requires a scenario name \
-             (usage: experiments trace SCENARIO [--limit N] [--out FILE.json])"
-        );
+        eprintln!("trace requires a scenario name ({usage})");
         std::process::exit(2);
     };
     let sc = &find_builtin_scenario(&target);
@@ -1253,29 +1027,8 @@ fn profile_cmd(args: &[String]) {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--repeats" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("--repeats requires a value ({usage})");
-                    std::process::exit(2);
-                });
-                repeats = match value.parse::<usize>() {
-                    Ok(v) if v >= 1 => v,
-                    _ => {
-                        eprintln!("cannot parse repeats '{value}' (an integer >= 1)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--chrome-trace" => {
-                trace_out = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--chrome-trace requires a path ({usage})");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
+            "--repeats" => repeats = repeats_flag(&mut it, arg, usage),
+            "--chrome-trace" => trace_out = Some(flag_value(&mut it, arg, usage).to_string()),
             other if target.is_none() && !other.starts_with('-') => {
                 target = Some(other.to_string());
             }
@@ -1396,29 +1149,7 @@ fn chaos_cmd(args: &[String]) {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seed" | "--kills" | "--corruptions" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("{arg} requires a value ({usage})");
-                    std::process::exit(2);
-                });
-                match arg.as_str() {
-                    "--seed" => {
-                        chaos.seed = value.parse::<u64>().unwrap_or_else(|_| {
-                            eprintln!("cannot parse seed '{value}' (a u64)");
-                            std::process::exit(2);
-                        });
-                    }
-                    _ => {
-                        let parsed = value.parse::<usize>().unwrap_or_else(|_| {
-                            eprintln!("cannot parse {arg} '{value}' (an event count)");
-                            std::process::exit(2);
-                        });
-                        if arg == "--kills" {
-                            chaos.kills = parsed;
-                        } else {
-                            chaos.corruptions = parsed;
-                        }
-                    }
-                }
+                chaos_flag(&mut chaos, arg, flag_value(&mut it, arg, usage));
             }
             other if target.is_none() && !other.starts_with('-') => {
                 target = Some(other.to_string());
@@ -1546,12 +1277,17 @@ fn chaos_cmd(args: &[String]) {
 fn suite_cmd(args: &[String]) {
     use powersparse_workloads::{
         builtin_suite, parse_suite, run_scenario_with, run_suite_with, ChaosSpec, EngineSpec,
-        Repeat, RunOptions, SuiteManifest, SuiteProfile,
+        Repeat, RunOptions, SuiteManifest, SuiteProfile, SHARDED_REMOVED,
     };
 
     // Strict argument parsing: a mistyped flag must not silently fall
     // back to the full builtin suite (the spec-file parser rejects
     // unknown keys for the same reason).
+    let usage = "usage: experiments suite [--smoke] [--spec FILE.toml] [--out MANIFEST.json] \
+                 [--force-engine sequential|pooled|process] [--net SPEC] \
+                 [--chaos] [--chaos-seed S] [--chaos-kills N] [--chaos-corruptions N] \
+                 [--repeats R] [--warmup W] \
+                 | suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine]";
     let mut smoke = false;
     let mut out: Option<String> = None;
     let mut spec: Option<String> = None;
@@ -1572,87 +1308,31 @@ fn suite_cmd(args: &[String]) {
             "--ignore-engine" => ignore_engine = true,
             "--chaos" => chaos = Some(chaos.unwrap_or_default()),
             "--chaos-seed" | "--chaos-kills" | "--chaos-corruptions" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("{arg} requires a value");
-                    std::process::exit(2);
-                });
+                let value = flag_value(&mut it, arg, usage);
                 let mut spec = chaos.unwrap_or_default();
-                match arg.as_str() {
-                    "--chaos-seed" => {
-                        spec.seed = value.parse::<u64>().unwrap_or_else(|_| {
-                            eprintln!("cannot parse {arg} '{value}' (a u64 seed)");
-                            std::process::exit(2);
-                        });
-                    }
-                    _ => {
-                        let parsed = value.parse::<usize>().unwrap_or_else(|_| {
-                            eprintln!("cannot parse {arg} '{value}' (an event count)");
-                            std::process::exit(2);
-                        });
-                        if arg == "--chaos-kills" {
-                            spec.kills = parsed;
-                        } else {
-                            spec.corruptions = parsed;
-                        }
-                    }
-                }
+                chaos_flag(&mut spec, arg, value);
                 chaos = Some(spec);
             }
-            "--repeats" | "--warmup" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("{arg} requires a value");
-                    std::process::exit(2);
-                });
-                let parsed = match value.parse::<usize>() {
-                    Ok(v) if arg == "--warmup" || v >= 1 => v,
-                    _ => {
-                        eprintln!("cannot parse {arg} '{value}' (a count; --repeats needs ≥ 1)");
-                        std::process::exit(2);
-                    }
-                };
-                if arg == "--repeats" {
-                    repeats = parsed;
-                } else {
-                    warmup = parsed;
-                }
+            "--repeats" => {
+                repeats = repeats_flag(&mut it, arg, usage);
                 saw_repeat_flags = true;
             }
-            "--out" | "--spec" | "--force-engine" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("{arg} requires a value");
-                    std::process::exit(2);
-                });
-                match arg.as_str() {
-                    "--out" => out = Some(value.clone()),
-                    "--force-engine" => force_engine = Some(value.clone()),
-                    _ => spec = Some(value.clone()),
-                }
+            "--warmup" => {
+                warmup = parse_flag(arg, flag_value(&mut it, arg, usage), "a count");
+                saw_repeat_flags = true;
             }
-            "--net" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!(
-                        "--net requires a spec like \
-                         latency_us=200,bandwidth_bytes_per_s=16777216,jitter_seed=7"
-                    );
-                    std::process::exit(2);
-                });
-                net = Some(parse_net_spec(value).unwrap_or_else(|e| {
-                    eprintln!("cannot parse --net '{value}': {e}");
-                    std::process::exit(2);
-                }));
+            "--out" => out = Some(flag_value(&mut it, arg, usage).to_string()),
+            "--spec" => spec = Some(flag_value(&mut it, arg, usage).to_string()),
+            "--force-engine" => {
+                force_engine = Some(flag_value(&mut it, arg, usage).to_string());
             }
+            "--net" => net = Some(net_flag(&mut it, usage)),
             "--diff" => {
-                let (Some(old), Some(new)) = (it.next(), it.next()) else {
-                    eprintln!("--diff requires two manifest paths: OLD.json NEW.json");
-                    std::process::exit(2);
-                };
-                diff = Some((old.clone(), new.clone()));
+                let old = flag_value(&mut it, arg, usage).to_string();
+                diff = Some((old, flag_value(&mut it, arg, usage).to_string()));
             }
             "--tolerance" => {
-                let value = it.next().unwrap_or_else(|| {
-                    eprintln!("--tolerance requires a value (a fraction, e.g. 0.1)");
-                    std::process::exit(2);
-                });
+                let value = flag_value(&mut it, arg, usage);
                 tolerance = match value.parse::<f64>() {
                     Ok(t) if t >= 0.0 && t.is_finite() => t,
                     _ => {
@@ -1665,14 +1345,7 @@ fn suite_cmd(args: &[String]) {
                 saw_tolerance = true;
             }
             other => {
-                eprintln!(
-                    "unknown suite argument '{other}' \
-                     (usage: experiments suite [--smoke] [--spec FILE.toml] [--out MANIFEST.json] \
-                     [--force-engine sequential|sharded|pooled|process] [--net SPEC] \
-                     [--chaos] [--chaos-seed S] [--chaos-kills N] [--chaos-corruptions N] \
-                     [--repeats R] [--warmup W] \
-                     | suite --diff OLD.json NEW.json [--tolerance FRACTION] [--ignore-engine])"
-                );
+                eprintln!("unknown suite argument '{other}' ({usage})");
                 std::process::exit(2);
             }
         }
@@ -1719,13 +1392,14 @@ fn suite_cmd(args: &[String]) {
             let shards = sc.engine.shards();
             sc.engine = match engine.as_str() {
                 "sequential" => EngineSpec::Sequential,
-                "sharded" => EngineSpec::Sharded { shards },
                 "pooled" => EngineSpec::Pooled { shards },
                 "process" => EngineSpec::Process { shards },
+                "sharded" => {
+                    eprintln!("{SHARDED_REMOVED}");
+                    std::process::exit(2);
+                }
                 other => {
-                    eprintln!(
-                        "unknown engine '{other}' (expected sequential|sharded|pooled|process)"
-                    );
+                    eprintln!("unknown engine '{other}' (expected sequential|pooled|process)");
                     std::process::exit(2);
                 }
             };

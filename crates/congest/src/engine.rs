@@ -3,9 +3,9 @@
 //!
 //! The reference implementation is the sequential [`crate::sim::Simulator`]
 //! (one thread, nodes stepped in ID order). The parallel backends live
-//! in the `powersparse-engine` crate: the scoped-scatter
-//! `ShardedSimulator` and the persistent worker-pool `PooledSimulator`.
-//! All must be **observationally identical**: same per-node outputs,
+//! in the `powersparse-engine` crate: the persistent worker-pool
+//! `PooledSimulator` and the multi-process `ProcessSimulator`. All must
+//! be **observationally identical**: same per-node outputs,
 //! same [`Metrics`] totals, same per-edge traffic — the engine contract
 //! below pins down the delivery order that makes this possible.
 //!
@@ -76,7 +76,7 @@
 //!
 //! * the sequential `Simulator` emits at the end of its round step,
 //!   after the transfer delivered;
-//! * the sharded and pooled backends gather shard-local counts during
+//! * the pooled and process backends gather shard-local counts during
 //!   the round stages and emit **on the caller thread** after the
 //!   stage-2 barrier, merged exactly where the shard counters merge;
 //! * [`RoundEngine::charge_rounds`] emits one zeroed observation per
@@ -112,7 +112,7 @@
 //! rejected statically: a step function receives `&mut S` for its own
 //! node only, and the `F: Sync` bound keeps captured context read-only
 //! across worker threads. `tests/conformance/negative.rs` in
-//! `powersparse-engine` pins the runtime rejections down on all four
+//! `powersparse-engine` pins the runtime rejections down on all three
 //! engines (the multi-process backend steps nodes on the parent side,
 //! so contract panics fire before any wire traffic).
 //!

@@ -15,7 +15,8 @@
 //! * [`engine::RoundEngine`] abstracts round execution: step scheduling,
 //!   message delivery and metrics access. [`sim::Simulator`] is the
 //!   sequential reference implementation; the `powersparse-engine` crate
-//!   provides the sharded data-parallel backend. Engine-generic
+//!   provides the parallel backends (a worker pool and forked shard
+//!   processes). Engine-generic
 //!   algorithms drive typed phases with per-node state slices
 //!   ([`engine::RoundPhase::step`]); the engine contract in [`engine`]
 //!   pins down delivery order so every backend is bit-for-bit

@@ -1,15 +1,13 @@
 //! The persistent-pool executor: [`PooledSimulator`] and its phase type.
 //!
-//! Same shard layout, same two-stage round structure and same engine
-//! contract as [`crate::ShardedSimulator`] (the shared pieces live in
-//! [`crate::routing`]), with two scheduling differences that matter
-//! below ~10⁴ nodes, where per-round work no longer hides the
-//! coordination cost:
+//! The in-process parallel backend. Nodes are split into the shards of
+//! a [`ShardLayout`] (shared with the process backend), and each round
+//! runs as two barrier-separated stages over them:
 //!
 //! 1. **Persistent workers.** Worker threads are spawned once, when the
 //!    engine is built, and parked on an epoch barrier
-//!    ([`crate::pool::WorkerPool`]). Each round costs two barrier waits
-//!    instead of two full `std::thread::scope` spawn/join scatters.
+//!    ([`crate::pool::WorkerPool`]). Each round costs two barrier waits;
+//!    nothing is spawned per round.
 //! 2. **Batched transfer.** The receiver side of a round splices each
 //!    shard-to-shard delivery buffer onto the receiver shard's
 //!    contiguous *arrival run* — one `Vec::append` (a memcpy-style move)
@@ -23,13 +21,12 @@
 //!    reference order.
 //!
 //! Outputs and [`Metrics`] (totals, `peak_queue_depth`, per-edge
-//! traffic) are identical to both other backends at every shard count —
-//! the conformance suite in `tests/conformance/` pins this down.
+//! traffic) are identical to the sequential and process backends at
+//! every shard count — the conformance suite in `tests/conformance/`
+//! pins this down.
 
 use crate::pool::{DisjointChunks, DisjointSlice, WorkerPool};
-use crate::routing::{
-    capped_default_shards, deliveries_pending, flush_shard_sends, Routed, ShardLayout, StageOut,
-};
+use crate::routing::{capped_default_shards, ShardLayout};
 use powersparse_congest::engine::{
     Delivery, Message, Metrics, Outbox, RoundEngine, RoundPhase, SendRecord,
 };
@@ -40,6 +37,101 @@ use powersparse_congest::probe::{
 use powersparse_congest::sim::SimConfig;
 use powersparse_graphs::{Graph, NodeId};
 use std::ops::Range;
+
+/// A delivery routed between shards: `(receiver, sender, payload)`.
+type Routed<M> = (NodeId, NodeId, M);
+
+/// One shard's stage-1 result: the counters returned by
+/// [`flush_shard_sends`] plus the shard's worker-side span timestamps
+/// (zero when the engine runs un-probed — see
+/// `powersparse_congest::probe`'s "Span emission points"). Workers write
+/// these into per-shard slots through disjoint views; the caller merges
+/// them at the stage-2 barrier, exactly where the counters merge.
+#[derive(Debug, Clone, Copy, Default)]
+struct StageOut {
+    /// Bits the shard enqueued this round.
+    bits: u64,
+    /// Messages the shard's transfer delivered this round.
+    msgs: u64,
+    /// Peak single-edge queue depth observed on the shard's core.
+    peak: u64,
+    /// Messages queued on the shard's core at transfer start (arena
+    /// footprint share; sums to the sequential engine's global value).
+    queued: u64,
+    /// Nanoseconds the shard spent stepping its nodes (probe only).
+    step_ns: u64,
+    /// Nanoseconds the shard spent in the enqueue + transfer tail
+    /// (probe only).
+    transfer_ns: u64,
+}
+
+/// The `settle` fast-path pre-check: whether any arrival run still
+/// holds an unread message. On quiet rounds (fragmented messages still
+/// crossing, nothing delivered yet) every run is empty and fanning out
+/// a parallel consume stage would be pure overhead.
+fn deliveries_pending<T>(buffers: &[Vec<T>]) -> bool {
+    buffers.iter().any(|b| !b.is_empty())
+}
+
+/// The sender-side tail of one round for one shard: enqueue the shard's
+/// collected sends on its arena core ([`MsgCore`], covering the shard's
+/// CSR-aligned edge range), then transfer up to `bw` bits per **active**
+/// owned edge in ascending edge order, bucketing completed messages by
+/// receiver shard into `row` (this shard's row of the phase's cell
+/// matrix). Returns the shard's bit/message totals, its peak single-edge
+/// queue depth, and the number of messages queued on its core at
+/// transfer start (the shard's share of the round's arena footprint —
+/// summed across shards at the barrier it equals the sequential
+/// engine's global value).
+///
+/// `edge_bits`/`edge_messages` are the shard's slices of the per-edge
+/// counters — **empty slices when per-edge accounting is disabled**
+/// (the opt-in `MetricsConfig::per_edge` mode), in which case no
+/// per-edge accumulation happens at all.
+///
+/// A node's out-edges all lie in the shard's edge range (CSR alignment),
+/// so this writes only shard-owned queues and counters.
+#[allow(clippy::too_many_arguments)]
+fn flush_shard_sends<M: Message>(
+    graph: &Graph,
+    shard_of: &[u32],
+    bw: u64,
+    edges: Range<usize>,
+    core: &mut MsgCore<M>,
+    edge_bits: &mut [u64],
+    edge_messages: &mut [u64],
+    sends: &mut Vec<SendRecord<M>>,
+    row: &mut [Vec<Routed<M>>],
+) -> (u64, u64, u64, u64) {
+    let per_edge = !edge_bits.is_empty();
+    let mut bits_total = 0u64;
+    for SendRecord {
+        edge,
+        bits,
+        from,
+        msg,
+    } in sends.drain(..)
+    {
+        debug_assert!(edges.contains(&edge), "send escaped its shard's edge range");
+        let e = edge - edges.start;
+        bits_total += bits;
+        if per_edge {
+            edge_bits[e] += bits;
+        }
+        core.enqueue(e, bits, from, msg);
+    }
+    let queued = core.queued() as u64;
+    let mut msgs_total = 0u64;
+    let peak = core.transfer(bw, |e, from, msg| {
+        msgs_total += 1;
+        if per_edge {
+            edge_messages[e] += 1;
+        }
+        let to = graph.edge_target(edges.start + e);
+        row[shard_of[to.index()] as usize].push((to, from, msg));
+    });
+    (bits_total, msgs_total, peak, queued)
+}
 
 /// The persistent worker-pool round engine.
 #[derive(Debug)]
@@ -258,8 +350,7 @@ impl<M> DistScratch<M> {
 
 /// Stage 1 body for one shard: distribute the shard's arrival run into
 /// per-node inbox slices, step the owned nodes, then enqueue + transfer
-/// the owned edges (the [`flush_shard_sends`] tail shared with the
-/// sharded engine). Returns the shard's counters and — when `timed`
+/// the owned edges (the [`flush_shard_sends`] tail). Returns the shard's counters and — when `timed`
 /// (call sites pass `P::ENABLED`, so the clock reads const-fold away
 /// un-probed) — its span nanoseconds, timestamped on the worker's own
 /// thread. The distribution pass is deferred receiver-side grouping, so
@@ -342,9 +433,8 @@ pub struct PooledPhase<'s, 'g, M, P: Probe = NoProbe> {
     scratch: Vec<DistScratch<M>>,
     /// Per-shard reusable send buffer (drained while enqueueing).
     send_bufs: Vec<Vec<SendRecord<M>>>,
-    /// Shard-to-shard delivery cells, rows-major like the sharded
-    /// engine's: sender shard `w` × receiver shard `r` is
-    /// `cells[w * shards + r]`.
+    /// Shard-to-shard delivery cells, rows-major: sender shard `w` ×
+    /// receiver shard `r` is `cells[w * shards + r]`.
     cells: Vec<Vec<Routed<M>>>,
     /// Per-shard stage-1 result slots (counters plus worker-side span
     /// timestamps — see [`StageOut`]), written by workers through a
@@ -588,8 +678,8 @@ impl<M: Message, P: Probe> RoundPhase<M> for PooledPhase<'_, '_, M, P> {
         let mut spent = 0u64;
         loop {
             // Hand every nonempty inbox to `f`, worker-parallel — unless
-            // the shared fast-path pre-check says nothing was delivered
-            // (see `routing::deliveries_pending`).
+            // the fast-path pre-check says nothing was delivered (see
+            // `deliveries_pending`).
             if deliveries_pending(&self.arrivals) {
                 let layout = &self.sim.layout;
                 let pool = &self.sim.pool;
@@ -635,8 +725,8 @@ mod tests {
     use powersparse_congest::sim::Simulator;
     use powersparse_graphs::generators;
 
-    /// The same nontrivial echo program as the sharded engine's unit
-    /// tests: fragmentation, FIFO order and per-node state.
+    /// A nontrivial echo program: fragmentation, FIFO order and
+    /// per-node state.
     fn echo_program<E: RoundEngine>(eng: &mut E, rounds: usize) -> (Vec<u64>, Metrics) {
         let n = eng.graph().n();
         let mut acc: Vec<u64> = vec![0; n];
@@ -832,6 +922,14 @@ mod tests {
                 assert_eq!(obs.shard_splice.iter().sum::<u64>(), obs.messages);
             }
         }
+    }
+
+    #[test]
+    fn deliveries_pending_matches_emptiness() {
+        let empty: Vec<Vec<u8>> = vec![Vec::new(), Vec::new()];
+        assert!(!deliveries_pending(&empty));
+        assert!(deliveries_pending(&[vec![], vec![1u8]]));
+        assert!(!deliveries_pending::<u8>(&[]));
     }
 
     #[test]

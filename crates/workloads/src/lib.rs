@@ -12,7 +12,7 @@
 //!   spec file ([`parse_suite`]).
 //! * [`builtin_suite`] — the curated matrix spanning every graph family
 //!   (random, power-law, unit-disk, grid/torus, caterpillar/broom trees,
-//!   bounded-growth cluster graphs) and both engine backends.
+//!   bounded-growth cluster graphs) and every engine backend.
 //! * [`run_suite`] / [`run_scenario`] — execute any scenario matrix on
 //!   the requested [`powersparse_congest::engine::RoundEngine`] backend,
 //!   re-verify every output with the `powersparse_graphs::check`
@@ -49,7 +49,7 @@
 //! let sc = Scenario::new(GraphFamily::Torus { rows: 6, cols: 6 })
 //!     .k(2)
 //!     .seed(7)
-//!     .sharded(2);
+//!     .pooled(2);
 //! let record = run_scenario(&sc).unwrap();
 //! assert!(record.validation.passed, "{}", record.validation.detail);
 //!
@@ -82,6 +82,6 @@ pub use runner::{
 };
 pub use scenario::{
     builtin_suite, parse_suite, AlgorithmSpec, EngineSpec, GraphFamily, RecoverySpec, Scenario,
-    SpecError, SuiteProfile,
+    SpecError, SuiteProfile, SHARDED_REMOVED,
 };
 pub use trend::{TrendPoint, TrendReport, TrendSeries};

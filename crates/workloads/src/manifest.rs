@@ -340,7 +340,8 @@ pub struct RunRecord {
     pub seed: u64,
     /// Algorithm identifier.
     pub algorithm: String,
-    /// Engine identifier (`sequential` / `sharded`).
+    /// Engine identifier (`sequential` / `pooled` / `process`; older
+    /// manifests also carry the retired `sharded`).
     pub engine: String,
     /// Worker count (1 for sequential).
     pub shards: u64,
@@ -657,7 +658,7 @@ mod tests {
         SuiteManifest {
             suite: "smoke".into(),
             runs: vec![RunRecord {
-                name: "gnp(n=192,d=8)/k1/luby_mis/sharded4".into(),
+                name: "gnp(n=192,d=8)/k1/luby_mis/pooled4".into(),
                 family: "gnp".into(),
                 graph: "gnp(n=192,d=8)".into(),
                 n: 192,
@@ -666,7 +667,7 @@ mod tests {
                 k: 1,
                 seed: 42,
                 algorithm: "luby_mis".into(),
-                engine: "sharded".into(),
+                engine: "pooled".into(),
                 shards: 4,
                 net: None,
                 recovery: None,

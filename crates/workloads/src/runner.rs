@@ -10,7 +10,7 @@
 use crate::manifest::{
     NetRecord, PhaseWall, RecoveryRecord, RunRecord, SuiteManifest, TraceRow, Validation, WallStats,
 };
-use crate::scenario::{AlgorithmSpec, EngineSpec, RecoverySpec, Scenario};
+use crate::scenario::{AlgorithmSpec, EngineSpec, RecoverySpec, Scenario, SHARDED_REMOVED};
 use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering};
 use powersparse::nd::{diameter_bound, power_nd, NetworkDecomposition};
 use powersparse::params::TheoryParams;
@@ -20,7 +20,7 @@ use powersparse_congest::engine::{Metrics, RoundEngine};
 use powersparse_congest::probe::{NoProbe, RecoveryObs, SpanProbe, TraceProbe};
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{
-    FaultPlan, PooledSimulator, ProcessOptions, ProcessSimulator, RecoveryPolicy, ShardedSimulator,
+    FaultPlan, PooledSimulator, ProcessOptions, ProcessSimulator, RecoveryPolicy,
 };
 use powersparse_graphs::{check, generators, power, Graph, NodeId};
 use std::time::{Duration, Instant};
@@ -207,12 +207,7 @@ fn execute(
             let m = sim.metrics().clone();
             Ok((out, m))
         }
-        EngineSpec::Sharded { shards } => {
-            let mut sim = ShardedSimulator::with_shards(g, config, shards);
-            let out = run_generic(&mut sim, sc)?;
-            let m = RoundEngine::metrics(&sim).clone();
-            Ok((out, m))
-        }
+        EngineSpec::Sharded { .. } => Err(SHARDED_REMOVED.into()),
         EngineSpec::Pooled { shards } => {
             let mut sim = PooledSimulator::with_shards(g, config, shards);
             let out = run_generic(&mut sim, sc)?;
@@ -248,11 +243,7 @@ fn execute_traced(
             run_generic(&mut sim, sc)?;
             sim.into_probe()
         }
-        EngineSpec::Sharded { shards } => {
-            let mut sim = ShardedSimulator::with_probe(g, config, shards, TraceProbe::new());
-            run_generic(&mut sim, sc)?;
-            sim.into_probe()
-        }
+        EngineSpec::Sharded { .. } => return Err(SHARDED_REMOVED.into()),
         EngineSpec::Pooled { shards } => {
             let mut sim = PooledSimulator::with_probe(g, config, shards, TraceProbe::new());
             run_generic(&mut sim, sc)?;
@@ -287,6 +278,11 @@ fn execute_traced(
 /// One untimed profiled execution: the same run with a [`SpanProbe`]
 /// attached, returning the raw per-round observations and stage spans
 /// for aggregation (see [`crate::profile`]).
+///
+/// # Errors
+///
+/// Algorithm failures, and the retired [`EngineSpec::Sharded`] engine
+/// (this entry point does not call [`Scenario::validate_spec`]).
 pub fn execute_spanned(g: &Graph, config: SimConfig, sc: &Scenario) -> Result<SpanProbe, String> {
     match sc.engine {
         EngineSpec::Sequential => {
@@ -294,11 +290,7 @@ pub fn execute_spanned(g: &Graph, config: SimConfig, sc: &Scenario) -> Result<Sp
             run_generic(&mut sim, sc)?;
             Ok(sim.into_probe())
         }
-        EngineSpec::Sharded { shards } => {
-            let mut sim = ShardedSimulator::with_probe(g, config, shards, SpanProbe::new());
-            run_generic(&mut sim, sc)?;
-            Ok(sim.into_probe())
-        }
+        EngineSpec::Sharded { .. } => Err(SHARDED_REMOVED.into()),
         EngineSpec::Pooled { shards } => {
             let mut sim = PooledSimulator::with_probe(g, config, shards, SpanProbe::new());
             run_generic(&mut sim, sc)?;
@@ -772,36 +764,36 @@ mod tests {
     #[test]
     fn formerly_rejected_combinations_now_run_sharded() {
         // Before the PR-3 port these scenario × engine pairs were spec
-        // errors; now they execute on the sharded engine and validate.
+        // errors; now they execute on a multi-shard engine and validate.
         for sc in [
             Scenario::new(GraphFamily::Grid { rows: 6, cols: 6 })
                 .algorithm(AlgorithmSpec::DetRulingK2)
-                .sharded(2),
+                .pooled(2),
             Scenario::new(GraphFamily::Gnp {
                 n: 72,
                 avg_deg: 6.0,
             })
             .seed(9)
             .algorithm(AlgorithmSpec::BetaRulingSet { beta: 2 })
-            .sharded(3),
+            .pooled(3),
             Scenario::new(GraphFamily::Gnp {
                 n: 64,
                 avg_deg: 5.0,
             })
             .seed(4)
             .algorithm(AlgorithmSpec::BeepingMis)
-            .sharded(4),
+            .pooled(4),
             Scenario::new(GraphFamily::Gnp {
                 n: 64,
                 avg_deg: 5.0,
             })
             .seed(8)
             .algorithm(AlgorithmSpec::ShatterMis { two_phase: false })
-            .sharded(2),
+            .pooled(2),
             Scenario::new(GraphFamily::Torus { rows: 6, cols: 6 })
                 .k(2)
                 .algorithm(AlgorithmSpec::PowerNd)
-                .sharded(2),
+                .pooled(2),
         ] {
             let rec = run_scenario(&sc).unwrap();
             assert!(
@@ -809,7 +801,7 @@ mod tests {
                 "{}: {}",
                 rec.name, rec.validation.detail
             );
-            assert_eq!(rec.engine, "sharded");
+            assert_eq!(rec.engine, "pooled");
         }
     }
 
@@ -826,11 +818,30 @@ mod tests {
 
     #[test]
     fn spec_errors_are_reported() {
-        let sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 }).sharded(0);
+        let sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 }).pooled(0);
         assert!(run_scenario(&sc).is_err());
         let mut sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 });
         sc.k = 0;
         assert!(run_scenario(&sc).is_err());
+        // The retired engine is refused by every dispatch, including
+        // the public profiling entry point that skips `validate_spec`.
+        let mut sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 });
+        sc.engine = EngineSpec::Sharded { shards: 2 };
+        assert_eq!(run_scenario(&sc).unwrap_err(), SHARDED_REMOVED);
+        let g = sc.family.build(sc.seed);
+        let config = SimConfig::for_graph(&g);
+        assert_eq!(
+            execute_spanned(&g, config, &sc).unwrap_err(),
+            SHARDED_REMOVED
+        );
+        assert_eq!(
+            execute(&g, config, &sc, None).err(),
+            Some(SHARDED_REMOVED.to_string())
+        );
+        assert_eq!(
+            execute_traced(&g, config, &sc, 0).unwrap_err(),
+            SHARDED_REMOVED
+        );
     }
 
     #[test]
@@ -844,7 +855,7 @@ mod tests {
         .seed(9);
         let seq = run_scenario(&base.clone().sequential()).unwrap();
         for par in [
-            run_scenario(&base.clone().sharded(3)).unwrap(),
+            run_scenario(&base.clone().pooled(2)).unwrap(),
             run_scenario(&base.pooled(3)).unwrap(),
         ] {
             assert!(seq.validation.passed && par.validation.passed);

@@ -7,7 +7,8 @@
 //!   MIS, network decomposition),
 //! * [`powersparse_congest`] — the CONGEST model: the `RoundEngine` trait
 //!   and the sequential reference `Simulator`,
-//! * [`powersparse_engine`] — the sharded, data-parallel engine backend,
+//! * [`powersparse_engine`] — the parallel engine backends (worker pool and
+//!   forked shard processes),
 //! * [`powersparse_graphs`] — the graph substrate,
 //! * [`powersparse_kwise`] — k-wise independent hashing and derandomizers.
 
