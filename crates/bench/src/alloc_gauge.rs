@@ -4,14 +4,14 @@
 //! counting [`GlobalAlloc`] wrapper around the system allocator: every
 //! allocation bumps a global counter and a live-bytes gauge whose
 //! high-water mark survives until the next [`reset`]. The
-//! `experiments profile` subcommand stamps the resulting
-//! [`Snapshot`] into the manifest's `alloc_count` / `alloc_bytes_peak`
-//! gauges.
+//! `experiments suite` subcommand stamps the resulting [`Snapshot`]
+//! into each manifest row's `alloc_count` / `alloc_bytes_peak` gauges,
+//! and `experiments profile` prints it.
 //!
 //! Without the feature the same API exists but stays inert — [`enabled`]
 //! returns `false`, [`snapshot`] returns zeros, and the binary keeps the
 //! plain system allocator (two atomic ops per malloc/free are not free;
-//! the wall-clock benches must not pay them).
+//! timed runs must not pay them).
 
 /// What the gauges read at one point in time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

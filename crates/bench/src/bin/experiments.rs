@@ -1,5 +1,5 @@
-//! Regenerates every table and figure of the paper (experiment index:
-//! DESIGN.md §4) and runs the workload scenario suite. Usage:
+//! Regenerates the paper's tables and figures and runs the workload
+//! scenario suite. Usage:
 //!
 //! ```text
 //! experiments [all|table1-det|table1-mis|table1-ruling|fig1|sparsify|shattering|nd|derand] [--scale S]
@@ -14,7 +14,16 @@
 //! experiments chaos SCENARIO [--seed S] [--kills N] [--corruptions N]
 //! ```
 //!
-//! Output is markdown; EXPERIMENTS.md archives a run. The `suite`
+//! Output is markdown. The paper tables (`table1-det`, `table1-mis`,
+//! `table1-ruling`, `sparsify`, `shattering`, `nd`) are
+//! [`PaperTable`] scenario lists at `--scale S` (default 2), run and
+//! validated by the suite runner and printed as one run table whose
+//! last column carries each row's measured quantities; a table exits
+//! nonzero if any row fails validation, and `trace`, `profile` and
+//! `chaos` open any of its rows by name. `fig1` and `derand` measure
+//! what the runner does not express (per-edge traffic on a crafted
+//! graph; seed attempts and the beep-fanout ablation) on fixed
+//! instances, so they accept `--scale` but ignore it. The `suite`
 //! subcommand additionally writes a structured JSON manifest (default
 //! `BENCH_suite.json`) for cross-run regression diffing, and exits
 //! nonzero if any run fails its validity checks; `--repeats R` times
@@ -44,54 +53,59 @@
 //! exits nonzero if the recovered counters drift from a clean reference
 //! run of the same scenario.
 
-use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering};
-use powersparse::nd::{diameter_bound, power_nd};
-use powersparse::ruling::{
-    beta_ruling_set, det_ruling_set_k2, id_ruling_set, ruling_set_with_balls,
-};
 use powersparse::sparsify::{sparsify_power, SamplingStrategy};
-use powersparse_bench::{bench_params, measure, row, standard_workloads};
+use powersparse_bench::row;
 use powersparse_congest::primitives::{
     exchange_with_neighbors, extend_trees, init_knowledge_and_trees, q_broadcast, q_message,
 };
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_graphs::{check, generators, power};
-use std::collections::BTreeMap;
+use powersparse_graphs::{generators, power};
+use powersparse_workloads::{
+    builtin_suite, run_suite, suite_params, PaperTable, Scenario, SuiteManifest, SuiteProfile,
+};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// The `--scale` of the table commands when none is given.
+const DEFAULT_SCALE: usize = 2;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
-    let scale: usize = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+    let rest = args.get(1..).unwrap_or_default();
+    if let Some(table) = PaperTable::ALL.into_iter().find(|t| t.command() == which) {
+        let scale = scale_flag(which, rest);
+        if !table_cmd(table, scale) {
+            std::process::exit(1);
+        }
+        return;
+    }
     match which {
-        "table1-det" => table1_det(scale),
-        "table1-mis" => table1_mis(scale),
-        "table1-ruling" => table1_ruling(scale),
-        "fig1" => fig1(),
-        "sparsify" => sparsify_exp(scale),
-        "shattering" => shattering_exp(scale),
-        "nd" => nd_exp(scale),
-        "derand" => derand_exp(),
-        "engines" => engines_cmd(&args[1..]),
-        "suite" => suite_cmd(&args[1..]),
-        "trend" => trend_cmd(&args[1..]),
-        "trace" => trace_cmd(&args[1..]),
-        "profile" => profile_cmd(&args[1..]),
-        "chaos" => chaos_cmd(&args[1..]),
-        "all" => {
-            table1_det(scale);
-            table1_mis(scale);
-            table1_ruling(scale);
+        "fig1" => {
+            scale_flag(which, rest);
             fig1();
-            sparsify_exp(scale);
-            shattering_exp(scale);
-            nd_exp(scale);
+        }
+        "derand" => {
+            scale_flag(which, rest);
+            derand_exp();
+        }
+        "engines" => engines_cmd(rest),
+        "suite" => suite_cmd(rest),
+        "trend" => trend_cmd(rest),
+        "trace" => trace_cmd(rest),
+        "profile" => profile_cmd(rest),
+        "chaos" => chaos_cmd(rest),
+        "all" => {
+            let scale = scale_flag(which, rest);
+            let mut passed = true;
+            for table in PaperTable::ALL {
+                passed &= table_cmd(table, scale);
+            }
+            fig1();
             derand_exp();
             engines_exp(None, &[]);
+            if !passed {
+                std::process::exit(1);
+            }
         }
         other => {
             eprintln!("unknown experiment '{other}'");
@@ -100,173 +114,103 @@ fn main() {
     }
 }
 
-/// E1 — Table 1, deterministic ruling-set rows.
-fn table1_det(scale: usize) {
-    println!("\n## E1: Table 1 — deterministic ruling sets of G^k\n");
-    println!(
-        "{}",
-        row(&[
-            "graph",
-            "k",
-            "algorithm",
-            "guarantee",
-            "rounds",
-            "measured domination",
-            "|S|"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 7].map(String::from)));
-    let params = bench_params();
-    for w in standard_workloads(scale) {
-        let g = &w.graph;
-        for k in [1usize, 2, 3] {
-            // Corollary 6.2 with c = 2 and c = 3: O(k·c·n^{1/c}) rounds.
-            for c in [2u32, 3] {
-                let (rep, out) = measure(g, |sim| id_ruling_set(sim, k, c));
-                let members = generators::members(&out.ruling_set);
-                assert!(check::is_ruling_set(g, &members, k + 1, c as usize * k));
-                println!(
-                    "{}",
-                    row(&[
-                        w.name.clone(),
-                        k.to_string(),
-                        format!("Cor 6.2 (c={c})"),
-                        format!("(k+1,{}k)", c),
-                        rep.rounds.to_string(),
-                        measured_domination(g, &members).to_string(),
-                        members.len().to_string(),
-                    ])
-                );
-            }
-            // AGLP with IDs, base 2: (k+1, k·log n) in O(2k·log n).
-            let (rep, out) = measure(g, |sim| {
-                ruling_set_with_balls(sim, k, &vec![true; g.n()], None)
-            });
-            let members = generators::members(&out.ruling_set);
-            assert!(check::is_ruling_set(
-                g,
-                &members,
-                k + 1,
-                out.domination_bound
-            ));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    "AGLP (B=2, IDs)".into(),
-                    "(k+1,k·log n)".into(),
-                    rep.rounds.to_string(),
-                    measured_domination(g, &members).to_string(),
-                    members.len().to_string(),
-                ])
-            );
-            // NEW — Theorem 1.1: (k+1, k²) in polylog rounds.
-            let (rep, out) = measure(g, |sim| det_ruling_set_k2(sim, k, &params, 0));
-            assert!(check::is_ruling_set(g, &out.ruling_set, k + 1, k * k));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    "NEW Thm 1.1".into(),
-                    "(k+1,k²)".into(),
-                    rep.rounds.to_string(),
-                    measured_domination(g, &out.ruling_set).to_string(),
-                    out.ruling_set.len().to_string(),
-                ])
-            );
-        }
-    }
-}
-
-/// E2 — Table 1, randomized MIS rows: Luby on G^k vs Theorem 1.2.
-fn table1_mis(scale: usize) {
-    println!("\n## E2: Table 1 — randomized MIS of G^k\n");
-    println!(
-        "{}",
-        row(&["graph", "k", "algorithm", "rounds", "|MIS|"].map(String::from))
-    );
-    println!("{}", row(&["---"; 5].map(String::from)));
-    let params = bench_params();
-    for w in standard_workloads(scale) {
-        let g = &w.graph;
-        for k in [1usize, 2, 3] {
-            let (rep, mis) = measure(g, |sim| luby_mis(sim, k, 7));
-            assert!(check::is_mis_of_power(g, &generators::members(&mis), k));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    "Luby (Sec 8.1)".into(),
-                    rep.rounds.to_string(),
-                    mis.iter().filter(|&&b| b).count().to_string(),
-                ])
-            );
-            let (rep, mis) = measure(g, |sim| beeping_mis(sim, k, 7));
-            assert!(check::is_mis_of_power(g, &generators::members(&mis), k));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    "BeepingMIS [Gha17]+L8.2".into(),
-                    rep.rounds.to_string(),
-                    mis.iter().filter(|&&b| b).count().to_string(),
-                ])
-            );
-            let (rep, out) = measure(g, |sim| {
-                mis_power(sim, k, &params, 7, PostShattering::OnePhase).expect("mis")
-            });
-            let (mis, report) = out;
-            assert!(check::is_mis_of_power(g, &generators::members(&mis), k));
-            println!(
-                "{}",
-                row(&[
-                    w.name.clone(),
-                    k.to_string(),
-                    format!(
-                        "NEW Thm 1.2 (undecided after pre: {})",
-                        report.undecided_after_pre
-                    ),
-                    rep.rounds.to_string(),
-                    mis.iter().filter(|&&b| b).count().to_string(),
-                ])
-            );
-        }
-    }
-}
-
-/// E3 — Table 1, randomized ruling-set rows (Corollary 1.3).
-fn table1_ruling(scale: usize) {
-    println!("\n## E3: Table 1 — randomized (k+1, kβ)-ruling sets (Cor 1.3)\n");
-    println!(
-        "{}",
-        row(&["graph", "k", "β", "rounds", "measured domination", "|S|"].map(String::from))
-    );
-    println!("{}", row(&["---"; 6].map(String::from)));
-    let params = bench_params();
-    for w in standard_workloads(scale) {
-        let g = &w.graph;
-        for k in [1usize, 2] {
-            for beta in [2usize, 3, 4] {
-                let (rep, rs) = measure(g, |sim| beta_ruling_set(sim, k, beta, &params, 5));
-                assert!(check::is_ruling_set(g, &rs, k + 1, k * beta));
-                println!(
-                    "{}",
-                    row(&[
-                        w.name.clone(),
-                        k.to_string(),
-                        beta.to_string(),
-                        rep.rounds.to_string(),
-                        measured_domination(g, &rs).to_string(),
-                        rs.len().to_string(),
-                    ])
-                );
+/// Strict argument parsing for the table commands: an optional
+/// `--scale S` with `S` an integer ≥ 1 (default [`DEFAULT_SCALE`]); a
+/// malformed value or any other argument exits 2 with the usage line.
+fn scale_flag(cmd: &str, args: &[String]) -> usize {
+    let usage = format!("usage: experiments {cmd} [--scale S]");
+    let mut scale = DEFAULT_SCALE;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--scale" => scale = positive_flag(&mut it, arg, &usage),
+            other => {
+                eprintln!("unknown {cmd} argument '{other}' ({usage})");
+                std::process::exit(2);
             }
         }
+    }
+    scale
+}
+
+/// E1–E3, E5–E7 — one paper table: its [`PaperTable`] scenario list at
+/// `scale`, run and validated by the suite runner and printed as the
+/// shared run table. Returns whether every row validated.
+fn table_cmd(table: PaperTable, scale: usize) -> bool {
+    let title = match table {
+        PaperTable::Table1Det => {
+            "E1: Table 1 — deterministic ruling sets of G^k: Cor 6.2 (c=2,3) and AGLP \
+             (B=2, IDs) vs Thm 1.1"
+        }
+        PaperTable::Table1Mis => {
+            "E2: Table 1 — randomized MIS of G^k: Luby (Sec 8.1) and BeepingMIS vs Thm 1.2"
+        }
+        PaperTable::Table1Ruling => "E3: Table 1 — randomized (k+1, kβ)-ruling sets (Cor 1.3)",
+        PaperTable::Sparsify => "E5: Sparsification (Lemma 3.1) — bounds and scaling",
+        PaperTable::Shattering => "E6: Theorem 1.4 — MIS of G via shattering vs Luby, Δ sweep",
+        PaperTable::Nd => "E7: Network decomposition of G^k (Theorem A.1 interface)",
+    };
+    let manifest = run_suite(table.command(), &table.scenarios(scale)).unwrap_or_else(|e| {
+        eprintln!("{} failed: {e}", table.command());
+        std::process::exit(1);
+    });
+    println!("\n## {title} (scale {scale})\n");
+    print_run_table(&manifest);
+    if !manifest.all_passed() {
+        eprintln!(
+            "{}: validation failures — see the table above",
+            table.command()
+        );
+    }
+    manifest.all_passed()
+}
+
+/// Prints a manifest's runs as one markdown table: identity, size, costs,
+/// run wall and the validation verdict with its detail, which carries
+/// the measured quantities the paper tables report (domination, |S|,
+/// max d_k(v, Q), undecided nodes after pre-shattering, colors and
+/// clusters).
+fn print_run_table(manifest: &SuiteManifest) {
+    let header = [
+        "scenario",
+        "n",
+        "m",
+        "Δ",
+        "rounds",
+        "messages",
+        "peak queue",
+        "run wall",
+        "valid",
+        "detail",
+    ];
+    println!("{}", row(&header.map(String::from)));
+    println!("{}", row(&["---"; 10].map(String::from)));
+    for run in &manifest.runs {
+        let wall = if run.wall_stats.samples > 1 {
+            format!(
+                "{:.1}±{:.1}ms",
+                run.wall_stats.mean_us / 1000.0,
+                run.wall_stats.ci95_us / 1000.0
+            )
+        } else {
+            format!("{:.1}ms", run.wall.run_us as f64 / 1000.0)
+        };
+        println!(
+            "{}",
+            row(&[
+                run.name.clone(),
+                run.n.to_string(),
+                run.m.to_string(),
+                run.max_degree.to_string(),
+                run.rounds.to_string(),
+                run.messages.to_string(),
+                run.peak_queue_depth.to_string(),
+                wall,
+                if run.validation.passed { "yes" } else { "NO" }.into(),
+                // `|S|` would end the markdown cell early.
+                run.validation.detail.replace('|', "\\|"),
+            ])
+        );
     }
 }
 
@@ -345,160 +289,6 @@ fn fig1() {
     );
 }
 
-/// E5 — Lemma 3.1/5.1: sparsification guarantees and scaling.
-fn sparsify_exp(scale: usize) {
-    println!("\n## E5: Sparsification (Lemma 3.1) — bounds and scaling\n");
-    println!(
-        "{}",
-        row(&[
-            "graph",
-            "k",
-            "strategy",
-            "rounds",
-            "max d_k(v,Q)",
-            "bound 6·log n",
-            "domination",
-            "bound k²+k",
-            "|Q|"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 9].map(String::from)));
-    let params = bench_params();
-    for w in standard_workloads(scale) {
-        let g = &w.graph;
-        let n = g.n();
-        for k in [1usize, 2, 3] {
-            for (label, strat) in [
-                ("randomized", SamplingStrategy::Randomized { seed: 11 }),
-                ("derandomized", SamplingStrategy::SeedSearch),
-            ] {
-                let (rep, out) = measure(g, |sim| {
-                    sparsify_power(sim, k, &vec![true; n], &params, strat).expect("sparsify")
-                });
-                let q_members = generators::members(&out.q);
-                let maxdeg = power::max_q_degree(g, k, &out.q);
-                let dom = measured_domination(g, &q_members);
-                println!(
-                    "{}",
-                    row(&[
-                        w.name.clone(),
-                        k.to_string(),
-                        label.into(),
-                        rep.rounds.to_string(),
-                        maxdeg.to_string(),
-                        params.degree_bound(n).to_string(),
-                        dom.to_string(),
-                        (k * k + k).to_string(),
-                        q_members.len().to_string(),
-                    ])
-                );
-            }
-        }
-    }
-}
-
-/// E6 — Theorem 1.4: shattering MIS of G vs Luby, across Δ; P2 stats.
-fn shattering_exp(scale: usize) {
-    println!("\n## E6: Theorem 1.4 — MIS of G via shattering vs Luby, Δ sweep\n");
-    println!(
-        "{}",
-        row(&[
-            "n",
-            "Δ",
-            "Luby rounds",
-            "Thm 1.4 rounds (1-phase)",
-            "Thm 1.4 rounds (2-phase)",
-            "undecided after pre",
-            "largest comp"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 7].map(String::from)));
-    let params = bench_params();
-    let n = 256 * scale;
-    for avg_deg in [4.0f64, 8.0, 16.0, 32.0] {
-        let g = generators::connected_gnp(n, avg_deg / n as f64, 77);
-        let (luby_rep, mis) = measure(&g, |sim| luby_mis(sim, 1, 3));
-        assert!(check::is_mis(&g, &generators::members(&mis)));
-        let (rep1, (m1, report)) = measure(&g, |sim| {
-            mis_power(sim, 1, &params, 3, PostShattering::OnePhase).expect("mis")
-        });
-        assert!(check::is_mis(&g, &generators::members(&m1)));
-        let (rep2, (m2, _)) = measure(&g, |sim| {
-            mis_power(sim, 1, &params, 3, PostShattering::TwoPhase).expect("mis")
-        });
-        assert!(check::is_mis(&g, &generators::members(&m2)));
-        println!(
-            "{}",
-            row(&[
-                n.to_string(),
-                g.max_degree().to_string(),
-                luby_rep.rounds.to_string(),
-                rep1.rounds.to_string(),
-                rep2.rounds.to_string(),
-                report.undecided_after_pre.to_string(),
-                report.largest_component.to_string(),
-            ])
-        );
-    }
-    // P2 check: component sizes after pre-shattering vs O(log n · Δ⁴).
-    println!("\nLemma 7.3 (P2) sanity: after Θ(log Δ) BeepingMIS steps the largest");
-    println!("undecided component stays far below the O(log_Δ n · Δ⁴) bound (see rows).");
-}
-
-/// E7 — Theorem A.1: network decomposition of G^k.
-fn nd_exp(scale: usize) {
-    println!("\n## E7: Network decomposition of G^k (Theorem A.1 interface)\n");
-    println!(
-        "{}",
-        row(&[
-            "graph",
-            "k",
-            "rounds",
-            "colors",
-            "clusters",
-            "diam bound",
-            "valid"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 7].map(String::from)));
-    let params = bench_params();
-    let mut loads: Vec<(String, usize, Graphish)> = Vec::new();
-    for w in standard_workloads(scale) {
-        loads.push((w.name.clone(), 0, Graphish(w.graph)));
-    }
-    // A long cycle exercises the delay-based clustering path.
-    loads.push(("cycle(900)".into(), 0, Graphish(generators::cycle(900))));
-    for (name, _, g) in &loads {
-        let g = &g.0;
-        for k in [1usize, 2] {
-            let (rep, nd) = measure(g, |sim| power_nd(sim, k, &params).expect("nd"));
-            let bound = diameter_bound(k, g.n());
-            let errors = check::check_decomposition(g, &nd.view(), bound, 2 * k as u32, true);
-            println!(
-                "{}",
-                row(&[
-                    name.clone(),
-                    k.to_string(),
-                    rep.rounds.to_string(),
-                    nd.num_colors.to_string(),
-                    nd.color.len().to_string(),
-                    bound.to_string(),
-                    if errors.is_empty() {
-                        "yes".into()
-                    } else {
-                        format!("NO: {errors:?}")
-                    },
-                ])
-            );
-        }
-    }
-}
-
-struct Graphish(powersparse_graphs::Graph);
-
 /// E8 — Ablation: sampling strategies of the sparsifier.
 fn derand_exp() {
     println!("\n## E8: Ablation — sparsifier sampling strategies (k = 1)\n");
@@ -507,7 +297,7 @@ fn derand_exp() {
         row(&["graph", "strategy", "rounds", "seed attempts", "max d(v,Q)"].map(String::from))
     );
     println!("{}", row(&["---"; 5].map(String::from)));
-    let params = bench_params();
+    let params = suite_params();
     let g = generators::connected_gnp(192, 24.0 / 192.0, 9);
     for (label, strat) in [
         (
@@ -516,15 +306,14 @@ fn derand_exp() {
         ),
         ("Algorithm 2 (seed scan)", SamplingStrategy::SeedSearch),
     ] {
-        let (rep, out) = measure(&g, |sim| {
-            sparsify_power(sim, 1, &[true; 192], &params, strat).expect("sparsify")
-        });
+        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+        let out = sparsify_power(&mut sim, 1, &[true; 192], &params, strat).expect("sparsify");
         println!(
             "{}",
             row(&[
                 "gnp(192, d=24)".into(),
                 label.into(),
-                rep.rounds.to_string(),
+                sim.metrics().rounds.to_string(),
                 out.iterations
                     .iter()
                     .map(|i| i.seed_attempts)
@@ -617,14 +406,14 @@ fn net_flag(it: &mut std::slice::Iter<'_, String>, usage: &str) -> powersparse_e
     })
 }
 
-/// The `--repeats R` value following the flag: an integer ≥ 1, else
-/// exit 2.
-fn repeats_flag(it: &mut std::slice::Iter<'_, String>, flag: &str, usage: &str) -> usize {
+/// The value following a count flag (`--repeats R`, `--scale S`): an
+/// integer ≥ 1, else exit 2 with the usage line.
+fn positive_flag(it: &mut std::slice::Iter<'_, String>, flag: &str, usage: &str) -> usize {
     let value = flag_value(it, flag, usage);
     match value.parse::<usize>() {
         Ok(v) if v >= 1 => v,
         _ => {
-            eprintln!("cannot parse {flag} '{value}' (an integer >= 1)");
+            eprintln!("cannot parse {flag} '{value}' (an integer >= 1; {usage})");
             std::process::exit(2);
         }
     }
@@ -674,9 +463,7 @@ fn engines_cmd(args: &[String]) {
 /// clock only. With `--out` the rows are written as a `SuiteManifest`
 /// (suite `engines`); `BENCH_engine.json` is the committed instance.
 fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
-    use powersparse_workloads::{
-        run_suite_with, GraphFamily, Repeat, RunOptions, RunRecord, Scenario,
-    };
+    use powersparse_workloads::{run_suite_with, GraphFamily, Repeat, RunOptions, RunRecord};
 
     let gnp = |n: usize| Scenario::new(GraphFamily::Gnp { n, avg_deg: 8.0 }).seed(42);
     let mut scenarios = Vec::new();
@@ -775,7 +562,7 @@ fn engines_exp(out: Option<&str>, nets: &[powersparse_engine::NetworkSpec]) {
 /// malformed or unreadable manifest exits nonzero — CI runs this over
 /// the committed manifests, so a bad commit breaks the build.
 fn trend_cmd(args: &[String]) {
-    use powersparse_workloads::{SuiteManifest, TrendReport};
+    use powersparse_workloads::TrendReport;
 
     let usage = "usage: experiments trend [DIR] [--out REPORT.json]";
     let mut dir: Option<String> = None;
@@ -830,39 +617,55 @@ fn trend_cmd(args: &[String]) {
     }
 }
 
+/// Paper-table rows resolve by name at every `--scale` from 1 to this.
+const LOOKUP_MAX_SCALE: usize = 8;
+
+/// Looks a scenario up by canonical name: the builtin smoke suite first
+/// (so the cheap instance of a name wins), then the full-suite scenarios
+/// smoke does not carry, then every [`PaperTable`] row at scales 1 to
+/// [`LOOKUP_MAX_SCALE`]. Unknown names list the catalogue (tables at
+/// scale 1) and exit nonzero.
+fn find_builtin_scenario(target: &str) -> Scenario {
+    let suites = || {
+        builtin_suite(SuiteProfile::Smoke)
+            .into_iter()
+            .chain(builtin_suite(SuiteProfile::Full))
+    };
+    let tables = |scale| {
+        PaperTable::ALL
+            .into_iter()
+            .flat_map(move |t| t.scenarios(scale))
+    };
+    let found = suites()
+        .chain((1..=LOOKUP_MAX_SCALE).flat_map(tables))
+        .find(|s| s.name() == target);
+    if let Some(sc) = found {
+        return sc;
+    }
+    eprintln!(
+        "unknown scenario '{target}'; builtin scenarios (paper-table rows also resolve at \
+         --scale 2 to {LOOKUP_MAX_SCALE}):"
+    );
+    let mut seen = BTreeSet::new();
+    for s in suites().chain(tables(1)) {
+        if seen.insert(s.name()) {
+            eprintln!("  {}", s.name());
+        }
+    }
+    std::process::exit(2);
+}
+
 /// E12 — `experiments trace SCENARIO [--limit N]`: run one builtin
 /// scenario with a round probe attached and print the per-round
 /// activity table (round, active edges, dirty nodes, messages, bits).
-/// The scenario is looked up by its canonical name in the builtin smoke
-/// and full suites; `--limit N` downsamples the table to at most `N`
+/// The scenario is looked up by its canonical name (see
+/// [`find_builtin_scenario`]); `--limit N` downsamples the table to at most `N`
 /// evenly strided rows (default: every round). The probe invariants
 /// (trace length = rounds on a full trace, per-round messages/bits
 /// summing to the run totals) are re-checked and a violation exits
 /// nonzero.
-/// Looks a scenario up by canonical name across the builtin suites —
-/// smoke first so the cheap instance of a name wins, then the full-suite
-/// scenarios smoke does not carry. Unknown names list the catalogue and
-/// exit nonzero.
-fn find_builtin_scenario(target: &str) -> powersparse_workloads::Scenario {
-    use powersparse_workloads::{builtin_suite, SuiteProfile};
-    let mut scenarios = builtin_suite(SuiteProfile::Smoke);
-    for sc in builtin_suite(SuiteProfile::Full) {
-        if !scenarios.iter().any(|s| s.name() == sc.name()) {
-            scenarios.push(sc);
-        }
-    }
-    let Some(i) = scenarios.iter().position(|s| s.name() == target) else {
-        eprintln!("unknown scenario '{target}'; builtin scenarios:");
-        for s in &scenarios {
-            eprintln!("  {}", s.name());
-        }
-        std::process::exit(2);
-    };
-    scenarios.swap_remove(i)
-}
-
 fn trace_cmd(args: &[String]) {
-    use powersparse_workloads::{run_scenario_with, Json, Repeat, RunOptions, Scenario, TraceRow};
+    use powersparse_workloads::{run_scenario_with, Json, Repeat, RunOptions, TraceRow};
 
     let usage = "usage: experiments trace SCENARIO [--limit N] [--out FILE.json]";
     let mut target: Option<String> = None;
@@ -1018,7 +821,7 @@ fn trace_cmd(args: &[String]) {
 /// is compared across runs or engines.
 fn profile_cmd(args: &[String]) {
     use powersparse_bench::alloc_gauge;
-    use powersparse_workloads::{breakdown, chrome_trace, profile_scenario, Json, Scenario};
+    use powersparse_workloads::{breakdown, chrome_trace, profile_scenario, Json};
 
     let mut target: Option<String> = None;
     let mut repeats = 1usize;
@@ -1027,7 +830,7 @@ fn profile_cmd(args: &[String]) {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--repeats" => repeats = repeats_flag(&mut it, arg, usage),
+            "--repeats" => repeats = positive_flag(&mut it, arg, usage),
             "--chrome-trace" => trace_out = Some(flag_value(&mut it, arg, usage).to_string()),
             other if target.is_none() && !other.starts_with('-') => {
                 target = Some(other.to_string());
@@ -1138,9 +941,7 @@ fn profile_cmd(args: &[String]) {
 /// recovery gate. Non-process scenarios are remapped onto the process
 /// engine (there is no wire to disturb otherwise).
 fn chaos_cmd(args: &[String]) {
-    use powersparse_workloads::{
-        run_chaos_scenario, run_scenario, ChaosSpec, EngineSpec, Scenario,
-    };
+    use powersparse_workloads::{run_chaos_scenario, run_scenario, ChaosSpec, EngineSpec};
 
     let mut target: Option<String> = None;
     let mut chaos = ChaosSpec::default();
@@ -1276,8 +1077,8 @@ fn chaos_cmd(args: &[String]) {
 /// by run, with a JSON manifest for `BENCH_*.json` trajectory tracking.
 fn suite_cmd(args: &[String]) {
     use powersparse_workloads::{
-        builtin_suite, parse_suite, run_scenario_with, run_suite_with, ChaosSpec, EngineSpec,
-        Repeat, RunOptions, SuiteManifest, SuiteProfile, SHARDED_REMOVED,
+        parse_suite, run_scenario_with, run_suite_with, ChaosSpec, EngineSpec, Repeat, RunOptions,
+        SHARDED_REMOVED,
     };
 
     // Strict argument parsing: a mistyped flag must not silently fall
@@ -1314,7 +1115,7 @@ fn suite_cmd(args: &[String]) {
                 chaos = Some(spec);
             }
             "--repeats" => {
-                repeats = repeats_flag(&mut it, arg, usage);
+                repeats = positive_flag(&mut it, arg, usage);
                 saw_repeat_flags = true;
             }
             "--warmup" => {
@@ -1473,21 +1274,6 @@ fn suite_cmd(args: &[String]) {
             String::new()
         }
     );
-    println!(
-        "{}",
-        row(&[
-            "scenario",
-            "n",
-            "m",
-            "rounds",
-            "messages",
-            "peak queue",
-            "run wall",
-            "valid"
-        ]
-        .map(String::from))
-    );
-    println!("{}", row(&["---"; 8].map(String::from)));
     let manifest = if powersparse_bench::alloc_gauge::enabled() {
         // With the counting allocator installed (`--features
         // alloc-gauge`), run scenario by scenario so each manifest row
@@ -1511,34 +1297,7 @@ fn suite_cmd(args: &[String]) {
     } else {
         run_suite_with(&name, &scenarios, &opts).unwrap_or_else(|e| panic!("suite failed: {e}"))
     };
-    for run in &manifest.runs {
-        let wall = if run.wall_stats.samples > 1 {
-            format!(
-                "{:.1}±{:.1}ms",
-                run.wall_stats.mean_us / 1000.0,
-                run.wall_stats.ci95_us / 1000.0
-            )
-        } else {
-            format!("{:.1}ms", run.wall.run_us as f64 / 1000.0)
-        };
-        println!(
-            "{}",
-            row(&[
-                run.name.clone(),
-                run.n.to_string(),
-                run.m.to_string(),
-                run.rounds.to_string(),
-                run.messages.to_string(),
-                run.peak_queue_depth.to_string(),
-                wall,
-                if run.validation.passed {
-                    "yes".into()
-                } else {
-                    format!("NO: {}", run.validation.detail)
-                },
-            ])
-        );
-    }
+    print_run_table(&manifest);
     std::fs::write(&out, manifest.to_json_string())
         .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!(
@@ -1558,7 +1317,7 @@ fn suite_cmd(args: &[String]) {
 /// `--ignore-engine`, runs are matched modulo engine backend and shard
 /// count — the cross-engine conformance gate.
 fn diff_cmd(old_path: &str, new_path: &str, tolerance: f64, ignore_engine: bool) {
-    use powersparse_workloads::{diff_manifests_with, DiffOptions, SuiteManifest};
+    use powersparse_workloads::{diff_manifests_with, DiffOptions};
 
     let load = |path: &str| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -1590,13 +1349,4 @@ fn diff_cmd(old_path: &str, new_path: &str, tolerance: f64, ignore_engine: bool)
         eprintln!("regression diff failed — see the report above");
         std::process::exit(1);
     }
-}
-
-/// Worst-case distance to the set over all nodes.
-fn measured_domination(g: &powersparse_graphs::Graph, set: &[powersparse_graphs::NodeId]) -> u32 {
-    powersparse_graphs::bfs::distances_to_set(g, set)
-        .iter()
-        .map(|d| d.expect("connected"))
-        .max()
-        .unwrap_or(0)
 }

@@ -13,6 +13,9 @@
 //! * [`builtin_suite`] — the curated matrix spanning every graph family
 //!   (random, power-law, unit-disk, grid/torus, caterpillar/broom trees,
 //!   bounded-growth cluster graphs) and every engine backend.
+//! * [`PaperTable`] — the scenario lists behind the paper's tables
+//!   (Table 1's ruling-set and MIS comparisons, sparsification,
+//!   shattering, network decomposition), run by the same runner.
 //! * [`run_suite`] / [`run_scenario`] — execute any scenario matrix on
 //!   the requested [`powersparse_congest::engine::RoundEngine`] backend,
 //!   re-verify every output with the `powersparse_graphs::check`
@@ -38,8 +41,9 @@
 //!   rounds/messages/bits/wall-clock across history, drift flagged
 //!   against the per-scenario series median.
 //!
-//! The `experiments suite` subcommand of `powersparse-bench` is the CLI
-//! front end; CI runs `experiments suite --smoke` on every PR.
+//! The `experiments suite` and table subcommands of `powersparse-bench`
+//! are the CLI front end; CI runs `experiments suite --smoke` and every
+//! table at `--scale 1` on every PR.
 //!
 //! # Example
 //!
@@ -81,7 +85,7 @@ pub use runner::{
     run_suite_with, suite_params, ChaosSpec, Repeat, RunOptions,
 };
 pub use scenario::{
-    builtin_suite, parse_suite, AlgorithmSpec, EngineSpec, GraphFamily, RecoverySpec, Scenario,
-    SpecError, SuiteProfile, SHARDED_REMOVED,
+    builtin_suite, parse_suite, AlgorithmSpec, EngineSpec, GraphFamily, PaperTable, RecoverySpec,
+    Scenario, SpecError, SuiteProfile, SHARDED_REMOVED,
 };
 pub use trend::{TrendPoint, TrendReport, TrendSeries};

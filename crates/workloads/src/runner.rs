@@ -11,22 +11,25 @@ use crate::manifest::{
     NetRecord, PhaseWall, RecoveryRecord, RunRecord, SuiteManifest, TraceRow, Validation, WallStats,
 };
 use crate::scenario::{AlgorithmSpec, EngineSpec, RecoverySpec, Scenario, SHARDED_REMOVED};
-use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering};
+use powersparse::mis::{beeping_mis, luby_mis, mis_power, PostShattering, ShatterReport};
 use powersparse::nd::{diameter_bound, power_nd, NetworkDecomposition};
 use powersparse::params::TheoryParams;
-use powersparse::ruling::{beta_ruling_set, det_ruling_set_k2};
+use powersparse::ruling::{
+    beta_ruling_set, det_ruling_set_k2, id_ruling_set, ruling_set_with_balls,
+};
 use powersparse::sparsify::{sparsify_power, SamplingStrategy, SparsifyOutcome};
 use powersparse_congest::engine::{Metrics, RoundEngine};
-use powersparse_congest::probe::{NoProbe, RecoveryObs, SpanProbe, TraceProbe};
+use powersparse_congest::probe::{NoProbe, Probe, RecoveryObs, SpanProbe, TraceProbe};
 use powersparse_congest::sim::{SimConfig, Simulator};
 use powersparse_engine::{
     FaultPlan, PooledSimulator, ProcessOptions, ProcessSimulator, RecoveryPolicy,
 };
-use powersparse_graphs::{check, generators, power, Graph, NodeId};
+use powersparse_graphs::{bfs, check, generators, power, Graph, NodeId};
 use std::time::{Duration, Instant};
 
-/// The laptop-scale theory constants every suite run uses (the same
-/// choice as the `experiments` tables; see DESIGN.md §3 substitution 4).
+/// The laptop-scale theory constants every suite run and every paper
+/// table uses: [`TheoryParams::scaled`], whose constants keep the
+/// paper's bounds non-vacuous at `n ≤ 10⁵`.
 pub fn suite_params() -> TheoryParams {
     TheoryParams::scaled()
 }
@@ -142,8 +145,12 @@ pub struct RunOptions {
 
 /// What an algorithm produced, in the shape its checker wants.
 enum AlgOutput {
-    /// A membership mask (MIS of `G^k`).
-    Mask(Vec<bool>),
+    /// A membership mask (MIS of `G^k`), with the shattering pipeline's
+    /// diagnostics when it produced the mask.
+    Mask {
+        mask: Vec<bool>,
+        shatter: Option<ShatterReport>,
+    },
     /// An explicit node set with its `(α, β)` ruling-set targets.
     RulingSet {
         set: Vec<NodeId>,
@@ -191,76 +198,48 @@ fn process_options(sc: &Scenario) -> ProcessOptions {
 }
 
 /// One run-phase execution: builds a fresh engine for the scenario's
-/// backend, runs the algorithm, returns output + final metrics. A
+/// backend with `probe` attached, runs the algorithm, and returns the
+/// output, the final metrics and the probe with its observations. A
 /// `chaos` plan (process engine only) is installed on the fresh engine
 /// before the run, so every invocation is disturbed identically.
-fn execute(
+fn execute<P: Probe>(
     g: &Graph,
     config: SimConfig,
     sc: &Scenario,
+    probe: P,
     chaos: Option<&FaultPlan>,
-) -> Result<(AlgOutput, Metrics), String> {
+) -> Result<(AlgOutput, Metrics, P), String> {
     match sc.engine {
         EngineSpec::Sequential => {
-            let mut sim = Simulator::new(g, config);
+            let mut sim = Simulator::with_probe(g, config, probe);
             let out = run_generic(&mut sim, sc)?;
             let m = sim.metrics().clone();
-            Ok((out, m))
+            Ok((out, m, sim.into_probe()))
         }
         EngineSpec::Sharded { .. } => Err(SHARDED_REMOVED.into()),
         EngineSpec::Pooled { shards } => {
-            let mut sim = PooledSimulator::with_shards(g, config, shards);
+            let mut sim = PooledSimulator::with_probe(g, config, shards, probe);
             let out = run_generic(&mut sim, sc)?;
             let m = RoundEngine::metrics(&sim).clone();
-            Ok((out, m))
+            Ok((out, m, sim.into_probe()))
         }
         EngineSpec::Process { shards } => {
             let mut sim =
-                ProcessSimulator::with_options(g, config, shards, NoProbe, process_options(sc));
+                ProcessSimulator::with_options(g, config, shards, probe, process_options(sc));
             if let Some(plan) = chaos {
                 sim.set_fault_plan(plan.clone());
             }
             let out = run_generic(&mut sim, sc)?;
             let m = RoundEngine::metrics(&sim).clone();
-            Ok((out, m))
+            Ok((out, m, sim.into_probe()))
         }
     }
 }
 
-/// One untimed traced execution: the same run with a [`TraceProbe`]
-/// attached, reduced to manifest [`TraceRow`]s and downsampled to at
-/// most `limit` rows (`0` = keep all; real round indices survive
-/// downsampling).
-fn execute_traced(
-    g: &Graph,
-    config: SimConfig,
-    sc: &Scenario,
-    limit: usize,
-) -> Result<Vec<TraceRow>, String> {
-    let trace = match sc.engine {
-        EngineSpec::Sequential => {
-            let mut sim = Simulator::with_probe(g, config, TraceProbe::new());
-            run_generic(&mut sim, sc)?;
-            sim.into_probe()
-        }
-        EngineSpec::Sharded { .. } => return Err(SHARDED_REMOVED.into()),
-        EngineSpec::Pooled { shards } => {
-            let mut sim = PooledSimulator::with_probe(g, config, shards, TraceProbe::new());
-            run_generic(&mut sim, sc)?;
-            sim.into_probe()
-        }
-        EngineSpec::Process { shards } => {
-            let mut sim = ProcessSimulator::with_options(
-                g,
-                config,
-                shards,
-                TraceProbe::new(),
-                process_options(sc),
-            );
-            run_generic(&mut sim, sc)?;
-            sim.into_probe()
-        }
-    };
+/// The untimed traced execution's [`TraceProbe`] reduced to manifest
+/// [`TraceRow`]s and downsampled to at most `limit` rows (`0` = keep
+/// all; real round indices survive downsampling).
+fn trace_rows(trace: &TraceProbe, limit: usize) -> Vec<TraceRow> {
     let rows: Vec<TraceRow> = trace
         .rounds
         .iter()
@@ -272,42 +251,7 @@ fn execute_traced(
             bits: obs.bits,
         })
         .collect();
-    Ok(downsample(rows, limit))
-}
-
-/// One untimed profiled execution: the same run with a [`SpanProbe`]
-/// attached, returning the raw per-round observations and stage spans
-/// for aggregation (see [`crate::profile`]).
-///
-/// # Errors
-///
-/// Algorithm failures, and the retired [`EngineSpec::Sharded`] engine
-/// (this entry point does not call [`Scenario::validate_spec`]).
-pub fn execute_spanned(g: &Graph, config: SimConfig, sc: &Scenario) -> Result<SpanProbe, String> {
-    match sc.engine {
-        EngineSpec::Sequential => {
-            let mut sim = Simulator::with_probe(g, config, SpanProbe::new());
-            run_generic(&mut sim, sc)?;
-            Ok(sim.into_probe())
-        }
-        EngineSpec::Sharded { .. } => Err(SHARDED_REMOVED.into()),
-        EngineSpec::Pooled { shards } => {
-            let mut sim = PooledSimulator::with_probe(g, config, shards, SpanProbe::new());
-            run_generic(&mut sim, sc)?;
-            Ok(sim.into_probe())
-        }
-        EngineSpec::Process { shards } => {
-            let mut sim = ProcessSimulator::with_options(
-                g,
-                config,
-                shards,
-                SpanProbe::new(),
-                process_options(sc),
-            );
-            run_generic(&mut sim, sc)?;
-            Ok(sim.into_probe())
-        }
-    }
+    downsample(rows, limit)
 }
 
 /// Builds a scenario's graph once and profiles `repeats` independent
@@ -325,7 +269,7 @@ pub fn profile_scenario(sc: &Scenario, repeats: usize) -> Result<Vec<SpanProbe>,
     let g = sc.family.build(sc.seed);
     let config = SimConfig::for_graph(&g);
     (0..repeats)
-        .map(|_| execute_spanned(&g, config, sc))
+        .map(|_| execute(&g, config, sc, SpanProbe::new(), None).map(|(_, _, probe)| probe))
         .collect()
 }
 
@@ -375,7 +319,7 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
     let config = SimConfig::for_graph(&g);
 
     for _ in 0..rep.warmup {
-        execute(&g, config, sc, chaos_plan)?;
+        execute(&g, config, sc, NoProbe, chaos_plan)?;
     }
 
     let mut samples: Vec<f64> = Vec::with_capacity(rep.invocations);
@@ -384,10 +328,10 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
         let t = Instant::now();
         let mut last = None;
         for _ in 0..rep.iterations {
-            last = Some(execute(&g, config, sc, chaos_plan)?);
+            last = Some(execute(&g, config, sc, NoProbe, chaos_plan)?);
         }
         samples.push(t.elapsed().as_micros() as f64 / rep.iterations as f64);
-        let (out, metrics) = last.expect("iterations >= 1");
+        let (out, metrics, _) = last.expect("iterations >= 1");
         match &first {
             None => first = Some((out, metrics)),
             Some((_, m0)) => {
@@ -411,10 +355,13 @@ pub fn run_scenario_with(sc: &Scenario, opts: &RunOptions) -> Result<RunRecord, 
 
     let trace = match opts.trace {
         None => None,
-        Some(limit) => Some(execute_traced(&g, config, sc, limit)?),
+        Some(limit) => {
+            let (_, _, probe) = execute(&g, config, sc, TraceProbe::new(), None)?;
+            Some(trace_rows(&probe, limit))
+        }
     };
     let profile = if opts.profile {
-        let probe = execute_spanned(&g, config, sc)?;
+        let (_, _, probe) = execute(&g, config, sc, SpanProbe::new(), None)?;
         Some(crate::profile::profile_stats(std::slice::from_ref(&probe)))
     } else {
         None
@@ -534,18 +481,31 @@ pub fn run_suite_with(
 /// sequential-only closures.
 fn run_generic<E: RoundEngine>(eng: &mut E, sc: &Scenario) -> Result<AlgOutput, String> {
     let n = eng.graph().n();
+    let k = sc.k;
+    let mask = |mask| AlgOutput::Mask {
+        mask,
+        shatter: None,
+    };
+    let ruling = |mask: &[bool], beta| AlgOutput::RulingSet {
+        set: generators::members(mask),
+        alpha: k + 1,
+        beta,
+    };
     match sc.algorithm {
-        AlgorithmSpec::LubyMis => Ok(AlgOutput::Mask(luby_mis(eng, sc.k, sc.seed))),
-        AlgorithmSpec::BeepingMis => Ok(AlgOutput::Mask(beeping_mis(eng, sc.k, sc.seed))),
+        AlgorithmSpec::LubyMis => Ok(mask(luby_mis(eng, k, sc.seed))),
+        AlgorithmSpec::BeepingMis => Ok(mask(beeping_mis(eng, k, sc.seed))),
         AlgorithmSpec::ShatterMis { two_phase } => {
             let post = if two_phase {
                 PostShattering::TwoPhase
             } else {
                 PostShattering::OnePhase
             };
-            let (mask, _report) = mis_power(eng, sc.k, &suite_params(), sc.seed, post)
+            let (mask, report) = mis_power(eng, k, &suite_params(), sc.seed, post)
                 .map_err(|e| format!("shattering MIS failed: {e}"))?;
-            Ok(AlgOutput::Mask(mask))
+            Ok(AlgOutput::Mask {
+                mask,
+                shatter: Some(report),
+            })
         }
         AlgorithmSpec::Sparsify { derandomized } => {
             let strategy = if derandomized {
@@ -553,43 +513,72 @@ fn run_generic<E: RoundEngine>(eng: &mut E, sc: &Scenario) -> Result<AlgOutput, 
             } else {
                 SamplingStrategy::Randomized { seed: sc.seed }
             };
-            let out = sparsify_power(eng, sc.k, &vec![true; n], &suite_params(), strategy)
+            let out = sparsify_power(eng, k, &vec![true; n], &suite_params(), strategy)
                 .map_err(|e| format!("sparsify failed: {e}"))?;
             Ok(AlgOutput::Sparsifier(Box::new(out)))
         }
         AlgorithmSpec::BetaRulingSet { beta } => {
-            let set = beta_ruling_set(eng, sc.k, beta, &suite_params(), sc.seed);
+            let set = beta_ruling_set(eng, k, beta, &suite_params(), sc.seed);
             Ok(AlgOutput::RulingSet {
                 set,
-                alpha: sc.k + 1,
-                beta: sc.k * beta,
+                alpha: k + 1,
+                beta: k * beta,
             })
         }
         AlgorithmSpec::DetRulingK2 => {
-            let out = det_ruling_set_k2(eng, sc.k, &suite_params(), sc.seed);
+            let out = det_ruling_set_k2(eng, k, &suite_params(), sc.seed);
             Ok(AlgOutput::RulingSet {
                 set: out.ruling_set,
-                alpha: sc.k + 1,
-                beta: sc.k * sc.k,
+                alpha: k + 1,
+                beta: k * k,
             })
         }
+        AlgorithmSpec::IdRulingSet { c } => {
+            let out = id_ruling_set(eng, k, c);
+            Ok(ruling(&out.ruling_set, c as usize * k))
+        }
+        AlgorithmSpec::AglpRulingSet => {
+            let out = ruling_set_with_balls(eng, k, &vec![true; n], None);
+            Ok(ruling(&out.ruling_set, out.domination_bound))
+        }
         AlgorithmSpec::PowerNd => {
-            let nd = power_nd(eng, sc.k, &suite_params())
+            let nd = power_nd(eng, k, &suite_params())
                 .map_err(|e| format!("network decomposition failed: {e}"))?;
             Ok(AlgOutput::Decomposition(nd))
         }
     }
 }
 
+/// Worst-case distance from a node to `set` — the measured domination
+/// of a ruling set or sparsifier, printed beside its guaranteed bound —
+/// or `None` when some node cannot reach the set at all.
+fn measured_domination(g: &Graph, set: &[NodeId]) -> Option<u32> {
+    bfs::distances_to_set(g, set)
+        .into_iter()
+        .try_fold(0, |worst, d| d.map(|d| worst.max(d)))
+}
+
+/// [`measured_domination`] as validation-detail text.
+fn domination_text(g: &Graph, set: &[NodeId]) -> String {
+    match measured_domination(g, set) {
+        Some(d) => format!("measured domination {d}"),
+        None => "some node cannot reach the set".into(),
+    }
+}
+
 /// Re-verifies the output with the `check` predicates; returns the
-/// verdict and the output cardinality.
+/// verdict and the output cardinality. Besides the verdict, the detail
+/// carries the measured quantities the paper tables report: domination
+/// of ruling sets and sparsifiers, the shattering pipeline's undecided
+/// count and largest component, and the decomposition's colors and
+/// clusters.
 fn validate(g: &Graph, sc: &Scenario, output: &AlgOutput) -> (Validation, u64) {
     let k = sc.k;
     match output {
-        AlgOutput::Mask(mask) => {
+        AlgOutput::Mask { mask, shatter } => {
             let members = generators::members(mask);
             let passed = check::is_mis_of_power(g, &members, k);
-            let detail = if passed {
+            let mut detail = if passed {
                 format!(
                     "MIS of G^{k}: independent + maximal, |S| = {}",
                     members.len()
@@ -597,17 +586,28 @@ fn validate(g: &Graph, sc: &Scenario, output: &AlgOutput) -> (Validation, u64) {
             } else {
                 format!("INVALID MIS of G^{k} (|S| = {})", members.len())
             };
+            if let Some(report) = shatter {
+                detail.push_str(&format!(
+                    "; undecided after pre-shattering {}, largest component {}",
+                    report.undecided_after_pre, report.largest_component
+                ));
+            }
             (Validation { passed, detail }, members.len() as u64)
         }
         AlgOutput::RulingSet { set, alpha, beta } => {
             let passed = check::is_ruling_set(g, set, *alpha, *beta);
             let detail = if passed {
                 format!(
-                    "({alpha}, {beta})-ruling set: packing + covering hold, |S| = {}",
-                    set.len()
+                    "({alpha}, {beta})-ruling set: packing + covering hold, |S| = {}, {}",
+                    set.len(),
+                    domination_text(g, set)
                 )
             } else {
-                format!("INVALID ({alpha}, {beta})-ruling set (|S| = {})", set.len())
+                format!(
+                    "INVALID ({alpha}, {beta})-ruling set (|S| = {}, {})",
+                    set.len(),
+                    domination_text(g, set)
+                )
             };
             (Validation { passed, detail }, set.len() as u64)
         }
@@ -623,11 +623,12 @@ fn validate(g: &Graph, sc: &Scenario, output: &AlgOutput) -> (Validation, u64) {
             let target = suite_params().degree_bound(g.n());
             let passed = i3 && dominating;
             let detail = format!(
-                "{}I3 {}, (k²+k)-domination {}; |Q| = {}, max d_{k}(v, Q) = {max_deg} \
+                "{}I3 {}, (k²+k)-domination {} ({}); |Q| = {}, max d_{k}(v, Q) = {max_deg} \
                  (target ≤ {target})",
                 if passed { "" } else { "INVALID: " },
                 if i3 { "holds" } else { "VIOLATED" },
                 if dominating { "holds" } else { "VIOLATED" },
+                domination_text(g, &members),
                 members.len(),
             );
             (Validation { passed, detail }, members.len() as u64)
@@ -823,24 +824,20 @@ mod tests {
         let mut sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 });
         sc.k = 0;
         assert!(run_scenario(&sc).is_err());
-        // The retired engine is refused by every dispatch, including
-        // the public profiling entry point that skips `validate_spec`.
+        // The engine dispatch itself refuses the retired engine too,
+        // whatever probe is attached.
         let mut sc = Scenario::new(GraphFamily::Grid { rows: 4, cols: 4 });
         sc.engine = EngineSpec::Sharded { shards: 2 };
         assert_eq!(run_scenario(&sc).unwrap_err(), SHARDED_REMOVED);
         let g = sc.family.build(sc.seed);
         let config = SimConfig::for_graph(&g);
         assert_eq!(
-            execute_spanned(&g, config, &sc).unwrap_err(),
-            SHARDED_REMOVED
-        );
-        assert_eq!(
-            execute(&g, config, &sc, None).err(),
+            execute(&g, config, &sc, SpanProbe::new(), None).err(),
             Some(SHARDED_REMOVED.to_string())
         );
         assert_eq!(
-            execute_traced(&g, config, &sc, 0).unwrap_err(),
-            SHARDED_REMOVED
+            execute(&g, config, &sc, NoProbe, None).err(),
+            Some(SHARDED_REMOVED.to_string())
         );
     }
 

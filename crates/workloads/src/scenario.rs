@@ -204,6 +204,17 @@ pub enum AlgorithmSpec {
     /// Deterministic `(k+1, k²)`-ruling set (Theorem 1.1). Requires a
     /// connected graph.
     DetRulingK2,
+    /// Deterministic `(k+1, ck)`-ruling set from the unique IDs with base
+    /// `⌈n^{1/c}⌉` (Corollary 6.2), a Table 1 baseline.
+    IdRulingSet {
+        /// Digit count of the ID expansion, c ≥ 1; rounds grow as
+        /// `O(k·c·n^{1/c})`.
+        c: u32,
+    },
+    /// Deterministic ruling set of the AGLP framework with IDs and base 2
+    /// (`(k+1, k·⌈log₂ n⌉)`), a Table 1 baseline. Validated against the
+    /// domination bound the run reports.
+    AglpRulingSet,
     /// Network decomposition of `G^k` with separation `2k+1`
     /// (Theorem A.1). Requires a connected graph.
     PowerNd,
@@ -223,6 +234,8 @@ impl AlgorithmSpec {
             Self::Sparsify { derandomized: true } => "sparsify_derandomized".into(),
             Self::BetaRulingSet { beta } => format!("beta_ruling(beta={beta})"),
             Self::DetRulingK2 => "det_ruling_k2".into(),
+            Self::IdRulingSet { c } => format!("id_ruling(c={c})"),
+            Self::AglpRulingSet => "aglp_ruling".into(),
             Self::PowerNd => "power_nd".into(),
         }
     }
@@ -469,6 +482,9 @@ impl Scenario {
         if self.k == 0 {
             return Err("k must be >= 1".into());
         }
+        if self.algorithm == (AlgorithmSpec::IdRulingSet { c: 0 }) {
+            return Err("`c` must be >= 1".into());
+        }
         if !matches!(self.engine, EngineSpec::Process { .. }) {
             if self.net.is_some() {
                 return Err("`net` shaping requires the process engine".into());
@@ -662,6 +678,150 @@ pub fn builtin_suite(profile: SuiteProfile) -> Vec<Scenario> {
     ]
 }
 
+/// The scenario lists behind the paper's tables (`experiments
+/// table1-det`, …, `experiments nd`). Each is a scale-parameterised
+/// matrix run and validated by the same runner as [`builtin_suite`], so
+/// every printed row re-runs from its name. One seed per graph drives
+/// both the graph and the algorithms run on it, so every algorithm of
+/// a table compares on the same graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PaperTable {
+    /// Table 1, deterministic ruling sets of `G^k`: Corollary 6.2
+    /// (c ∈ {2, 3}) and AGLP against Theorem 1.1, for k ∈ {1, 2, 3}.
+    Table1Det,
+    /// Table 1, randomized MIS of `G^k`: Luby and BeepingMIS against
+    /// Theorem 1.2, for k ∈ {1, 2, 3}.
+    Table1Mis,
+    /// Table 1, randomized `(k+1, kβ)`-ruling sets (Corollary 1.3), for
+    /// k ∈ {1, 2} and β ∈ {2, 3, 4}.
+    Table1Ruling,
+    /// Lemma 3.1 sparsification, randomized and seed-scan, for
+    /// k ∈ {1, 2, 3}.
+    Sparsify,
+    /// Theorem 1.4: shattering MIS of `G` (one- and two-phase) against
+    /// Luby across average degrees 4 to 32.
+    Shattering,
+    /// Theorem A.1 network decomposition of `G^k` for k ∈ {1, 2}, plus a
+    /// 900-node path whose large diameter exercises the delay-based
+    /// clustering.
+    Nd,
+}
+
+impl PaperTable {
+    /// Every table, in the order `experiments all` prints them.
+    pub const ALL: [Self; 6] = [
+        Self::Table1Det,
+        Self::Table1Mis,
+        Self::Table1Ruling,
+        Self::Sparsify,
+        Self::Shattering,
+        Self::Nd,
+    ];
+
+    /// The `experiments` subcommand that prints this table.
+    pub fn command(self) -> &'static str {
+        match self {
+            Self::Table1Det => "table1-det",
+            Self::Table1Mis => "table1-mis",
+            Self::Table1Ruling => "table1-ruling",
+            Self::Sparsify => "sparsify",
+            Self::Shattering => "shattering",
+            Self::Nd => "nd",
+        }
+    }
+
+    /// The table's scenarios at `scale`: every graph × `k` × algorithm
+    /// of the table, on the sequential engine. Graph sizes grow linearly
+    /// with `scale`, except the fixed-size path of [`PaperTable::Nd`].
+    pub fn scenarios(self, scale: usize) -> Vec<Scenario> {
+        use AlgorithmSpec::*;
+        // A bounded-degree random graph, a grid (large diameter,
+        // constant degree) and a denser random graph, each with its seed.
+        let mut graphs = vec![
+            (
+                GraphFamily::Gnp {
+                    n: 64 * scale,
+                    avg_deg: 8.0,
+                },
+                42,
+            ),
+            (
+                GraphFamily::Grid {
+                    rows: 8 * scale,
+                    cols: 8,
+                },
+                42,
+            ),
+            (
+                GraphFamily::Gnp {
+                    n: 64 * scale,
+                    avg_deg: 16.0,
+                },
+                43,
+            ),
+        ];
+        let (ks, algorithms): (&[usize], Vec<AlgorithmSpec>) = match self {
+            Self::Table1Det => (
+                &[1, 2, 3],
+                vec![
+                    IdRulingSet { c: 2 },
+                    IdRulingSet { c: 3 },
+                    AglpRulingSet,
+                    DetRulingK2,
+                ],
+            ),
+            Self::Table1Mis => (
+                &[1, 2, 3],
+                vec![LubyMis, BeepingMis, ShatterMis { two_phase: false }],
+            ),
+            Self::Table1Ruling => (&[1, 2], [2, 3, 4].map(|beta| BetaRulingSet { beta }).into()),
+            Self::Sparsify => (
+                &[1, 2, 3],
+                vec![
+                    Sparsify {
+                        derandomized: false,
+                    },
+                    Sparsify { derandomized: true },
+                ],
+            ),
+            Self::Shattering => {
+                graphs = [4.0, 8.0, 16.0, 32.0]
+                    .map(|avg_deg| {
+                        let n = 256 * scale;
+                        (GraphFamily::Gnp { n, avg_deg }, 77)
+                    })
+                    .into();
+                (
+                    &[1],
+                    vec![
+                        LubyMis,
+                        ShatterMis { two_phase: false },
+                        ShatterMis { two_phase: true },
+                    ],
+                )
+            }
+            Self::Nd => {
+                let path = GraphFamily::Caterpillar {
+                    spine: 900,
+                    legs: 0,
+                };
+                graphs.push((path, 42));
+                (&[1, 2], vec![PowerNd])
+            }
+        };
+        let mut scenarios = Vec::new();
+        for (family, seed) in graphs {
+            for &k in ks {
+                for alg in &algorithms {
+                    let sc = Scenario::new(family.clone()).k(k).seed(seed);
+                    scenarios.push(sc.algorithm(alg.clone()));
+                }
+            }
+        }
+        scenarios
+    }
+}
+
 /// A value in a spec file: integer, float, string, bool or a flat
 /// inline table (`{ key = value, ... }` with scalar values only).
 #[derive(Debug, Clone, PartialEq)]
@@ -716,7 +876,8 @@ impl std::error::Error for SpecError {}
 /// algorithm = "luby_mis" # luby_mis | beeping_mis | shatter_mis |
 ///                        # shatter_mis_two_phase | sparsify |
 ///                        # sparsify_derandomized | beta_ruling |
-///                        # det_ruling_k2 | power_nd
+///                        # det_ruling_k2 | id_ruling (key `c`) |
+///                        # aglp_ruling | power_nd
 /// engine = "pooled"      # sequential | pooled | process
 /// shards = 4
 ///
@@ -1122,6 +1283,15 @@ fn scenario_from_kv(
             beta: b.usize_or("beta", 2)?,
         },
         "det_ruling_k2" => AlgorithmSpec::DetRulingK2,
+        "id_ruling" => {
+            let c_line = b.kv.get("c").map_or(line, |&(l, _)| l);
+            let c = u32::try_from(b.usize_or("c", 2)?).map_err(|_| SpecError {
+                line: c_line,
+                message: "`c` must fit in 32 bits".into(),
+            })?;
+            AlgorithmSpec::IdRulingSet { c }
+        }
+        "aglp_ruling" => AlgorithmSpec::AglpRulingSet,
         "power_nd" => AlgorithmSpec::PowerNd,
         other => {
             return Err(SpecError {
@@ -1200,6 +1370,8 @@ mod tests {
             AlgorithmSpec::Sparsify { derandomized: true },
             AlgorithmSpec::BetaRulingSet { beta: 3 },
             AlgorithmSpec::DetRulingK2,
+            AlgorithmSpec::IdRulingSet { c: 3 },
+            AlgorithmSpec::AglpRulingSet,
             AlgorithmSpec::PowerNd,
         ];
         for algorithm in algorithms {
@@ -1233,9 +1405,24 @@ family = "torus"
 rows = 12
 cols = 12
 algorithm = "sparsify"   # randomized
+
+[[scenario]]
+family = "grid"
+rows = 8
+cols = 8
+k = 2
+algorithm = "id_ruling"
+c = 3
+
+[[scenario]]
+family = "gnp"
+n = 64
+avg_deg = 8.0
+seed = 42
+algorithm = "aglp_ruling"
 "#;
         let suite = parse_suite(text).unwrap();
-        assert_eq!(suite.len(), 2);
+        assert_eq!(suite.len(), 4);
         assert_eq!(
             suite[0],
             Scenario::new(GraphFamily::PowerLaw { n: 300, attach: 3 })
@@ -1251,6 +1438,29 @@ algorithm = "sparsify"   # randomized
                 }
             )
         );
+        assert_eq!(
+            suite[2],
+            Scenario::new(GraphFamily::Grid { rows: 8, cols: 8 })
+                .k(2)
+                .algorithm(AlgorithmSpec::IdRulingSet { c: 3 })
+        );
+        assert_eq!(suite[2].name(), "grid(8x8)/k2/id_ruling(c=3)/sequential");
+        assert_eq!(
+            suite[3],
+            Scenario::new(GraphFamily::Gnp {
+                n: 64,
+                avg_deg: 8.0,
+            })
+            .seed(42)
+            .algorithm(AlgorithmSpec::AglpRulingSet)
+        );
+        assert_eq!(suite[3].name(), "gnp(n=64,d=8)/k1/aglp_ruling/sequential");
+        // `c` defaults to 2.
+        let default_c = parse_suite(
+            "[[scenario]]\nfamily = \"grid\"\nrows = 3\ncols = 3\nalgorithm = \"id_ruling\"\n",
+        )
+        .unwrap();
+        assert_eq!(default_c[0].algorithm, AlgorithmSpec::IdRulingSet { c: 2 });
     }
 
     #[test]
@@ -1298,6 +1508,19 @@ algorithm = "sparsify"   # randomized
         .unwrap_err();
         assert_eq!(retired.message, SHARDED_REMOVED);
         assert_eq!(retired.line, 5);
+        // `c` belongs to `id_ruling` only, must be an integer >= 1, and a
+        // bad value is reported on its own line.
+        let grid = "[[scenario]]\nfamily = \"grid\"\nrows = 3\ncols = 3\n";
+        for (bad, line, needle) in [
+            ("algorithm = \"id_ruling\"\nc = \"two\"\n", 6, "`c` must be"),
+            ("algorithm = \"id_ruling\"\nc = 4294967296\n", 6, "32 bits"),
+            ("algorithm = \"id_ruling\"\nc = 0\n", 1, "`c` must be >= 1"),
+            ("algorithm = \"aglp_ruling\"\nc = 2\n", 6, "unknown key `c`"),
+        ] {
+            let err = parse_suite(&format!("{grid}{bad}")).unwrap_err();
+            assert!(err.message.contains(needle), "{bad:?}: {err}");
+            assert_eq!(err.line, line, "{bad:?}: {err}");
+        }
         // A hand-built scenario on the retired variant is refused too.
         let mut sc = Scenario::new(GraphFamily::Grid { rows: 3, cols: 3 });
         sc.engine = EngineSpec::Sharded { shards: 2 };

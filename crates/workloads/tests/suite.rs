@@ -1,13 +1,13 @@
 //! Acceptance tests for the workload subsystem: the built-in smoke suite
 //! satisfies the coverage bar (≥ 10 scenarios, ≥ 5 graph families, every
 //! engine), every run passes its `check` validation, the JSON manifest
-//! round-trips exactly, and every family behaves identically on the
-//! sequential and pooled backends.
+//! round-trips exactly, every family behaves identically on the
+//! sequential and pooled backends, and every paper-table row validates.
 
 use powersparse_workloads::{
     builtin_suite, run_scenario, run_scenario_with, run_suite, AlgorithmSpec, EngineSpec,
-    GraphFamily, PhaseWall, Repeat, RunOptions, RunRecord, Scenario, SuiteManifest, SuiteProfile,
-    WallStats,
+    GraphFamily, PaperTable, PhaseWall, Repeat, RunOptions, RunRecord, Scenario, SuiteManifest,
+    SuiteProfile, WallStats,
 };
 use std::collections::BTreeSet;
 
@@ -56,6 +56,36 @@ fn dewalled(mut rec: RunRecord) -> RunRecord {
     rec.wall = PhaseWall::default();
     rec.wall_stats = WallStats::single(0);
     rec
+}
+
+/// Every paper table at scale 1 (what CI's table step prints) runs
+/// through the runner and every row passes its `check` predicates —
+/// including the sparsifier and decomposition tables, whose old loops
+/// never checked their output. Names are unique within a table, so
+/// every row re-opens by name.
+#[test]
+fn paper_tables_validate_at_scale_1() {
+    for table in PaperTable::ALL {
+        let scenarios = table.scenarios(1);
+        assert!(!scenarios.is_empty(), "{} is empty", table.command());
+        let names: BTreeSet<String> = scenarios.iter().map(Scenario::name).collect();
+        assert_eq!(
+            names.len(),
+            scenarios.len(),
+            "{}: duplicate scenario names",
+            table.command()
+        );
+        let manifest = run_suite(table.command(), &scenarios).expect("table must execute");
+        for run in &manifest.runs {
+            assert!(
+                run.validation.passed,
+                "{}: {} failed validation: {}",
+                table.command(),
+                run.name,
+                run.validation.detail
+            );
+        }
+    }
 }
 
 #[test]
