@@ -1176,9 +1176,13 @@ fn suite_cmd(args: &[String]) {
     let out = out.unwrap_or_else(|| "BENCH_suite.json".into());
     let (mut name, mut scenarios) = match spec {
         Some(path) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read spec {path}: {e}"));
-            let scenarios = parse_suite(&text).unwrap_or_else(|e| panic!("{e}"));
+            let scenarios = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read spec {path}: {e}"))
+                .and_then(|text| parse_suite(&text).map_err(|e| format!("{path}: {e}")))
+                .unwrap_or_else(|e| {
+                    eprintln!("{e} ({usage})");
+                    std::process::exit(2);
+                });
             (path, scenarios)
         }
         None if smoke => ("smoke".to_string(), builtin_suite(SuiteProfile::Smoke)),

@@ -260,8 +260,8 @@ pub struct Metrics {
     /// [`RoundEngine::charge_rounds`]).
     pub rounds: u64,
     /// Rounds charged analytically via [`RoundEngine::charge_rounds`]
-    /// (a subset of `rounds`; nonzero only where DESIGN.md documents a
-    /// cost-accounting substitution).
+    /// (a subset of `rounds`; nonzero only for the charged rounds of the
+    /// README's *Substitutions*).
     pub charged_rounds: u64,
     /// Total messages delivered.
     pub messages: u64,
@@ -481,8 +481,8 @@ pub trait RoundEngine {
     /// Cost metrics so far.
     fn metrics(&self) -> &Metrics;
 
-    /// Charges `r` rounds without running them (cost-accounting
-    /// substitutions documented in DESIGN.md).
+    /// Charges `r` rounds without running them (README,
+    /// *Substitutions*: charged rounds).
     fn charge_rounds(&mut self, r: u64);
 
     /// Messages delivered across the directed edge `u → v` so far.

@@ -17,10 +17,27 @@ pub fn exchange_with_neighbors<E: RoundEngine>(
     sim: &mut E,
     sets: &[BTreeSet<u32>],
 ) -> Vec<BTreeMap<u32, BTreeSet<u32>>> {
+    send_sets(
+        sim,
+        sets,
+        |mine: &mut BTreeMap<u32, BTreeSet<u32>>, from, ids| {
+            mine.insert(from.0, ids.iter().copied().collect());
+        },
+    )
+}
+
+/// The exchange behind [`exchange_with_neighbors`]: every node with a
+/// nonempty set sends it to all neighbors, and `absorb(state, from, ids)`
+/// folds each received set into the receiver's state.
+fn send_sets<E: RoundEngine, S: Clone + Default + Send>(
+    sim: &mut E,
+    sets: &[BTreeSet<u32>],
+    absorb: impl Fn(&mut S, NodeId, &[u32]) + Sync,
+) -> Vec<S> {
     let n = sim.graph().n();
     assert_eq!(sets.len(), n);
     let id_bits = sim.graph().id_bits();
-    let mut received: Vec<BTreeMap<u32, BTreeSet<u32>>> = vec![BTreeMap::new(); n];
+    let mut received: Vec<S> = vec![S::default(); n];
     let mut phase = sim.phase::<Vec<u32>>();
     phase.step_stateless(|v, _in, out| {
         let s = &sets[v.index()];
@@ -38,7 +55,7 @@ pub fn exchange_with_neighbors<E: RoundEngine>(
     let budget = 8 * (max_set + 2) * id_bits as u64;
     phase.settle(budget, &mut received, |mine, _v, inbox| {
         for (from, ids) in inbox {
-            mine.insert(from.0, ids.iter().copied().collect());
+            absorb(mine, *from, ids);
         }
     });
     received
@@ -65,46 +82,49 @@ pub fn exchange_id_sets<E: RoundEngine>(sim: &mut E, sets: &[BTreeSet<u32>]) -> 
 /// Bootstraps per-node knowledge of `N^1(v, Q)` and the depth-1 BFS trees
 /// rooted at the members of `Q`, in one communication round: every member
 /// broadcasts its own ID; every receiver records the sender as a tree
-/// ancestor. This establishes invariant **I3** for `s = 0 → 1` and is the
-/// starting point for iterated [`extend_trees`] calls.
+/// ancestor, and every member records all its neighbors (the receivers of
+/// its broadcast) as descendants. This establishes invariant **I3** for
+/// `s = 0 → 1` and is the starting point for iterated [`extend_trees`]
+/// calls.
 pub fn init_knowledge_and_trees<E: RoundEngine>(
     sim: &mut E,
     q: &[bool],
 ) -> (Vec<BTreeSet<u32>>, QTrees) {
-    let n = sim.graph().n();
+    let g = sim.graph();
+    let n = g.n();
     assert_eq!(q.len(), n);
-    let id_bits = sim.graph().id_bits();
+    let id_bits = g.id_bits();
     let roots: Vec<NodeId> = q
         .iter()
         .enumerate()
         .filter(|(_, &m)| m)
         .map(|(i, _)| NodeId::from(i))
         .collect();
+    let children: Vec<Vec<(u32, NodeId)>> = g
+        .nodes()
+        .map(|r| {
+            let kids = if q[r.index()] { g.neighbors(r) } else { &[] };
+            kids.iter().map(|&w| (r.0, w)).collect()
+        })
+        .collect();
     let mut trees = QTrees::new_roots(n, &roots);
-    // Per node: (known Q-IDs, tree attachments (root, parent)).
-    let mut state: Vec<(BTreeSet<u32>, Vec<(u32, NodeId)>)> =
-        vec![(BTreeSet::new(), Vec::new()); n];
+    // Per node: the (root, ancestor) links it heard, one per Q-neighbor.
+    let mut parents: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); n];
     let mut phase = sim.phase::<u32>();
     phase.step_stateless(|v, _in, out| {
         if q[v.index()] {
             out.broadcast(v, v.0, id_bits);
         }
     });
-    phase.settle(8 * id_bits as u64, &mut state, |s, _v, inbox| {
-        for &(from, x) in inbox {
-            s.0.insert(x);
-            s.1.push((x, from));
-        }
+    phase.settle(8 * id_bits as u64, &mut parents, |mine, _v, inbox| {
+        mine.extend(inbox.iter().map(|&(from, x)| (x, from)));
     });
     drop(phase);
-    let mut sets: Vec<BTreeSet<u32>> = Vec::with_capacity(n);
-    for (i, (set, list)) in state.into_iter().enumerate() {
-        for (x, from) in list {
-            trees.attach(x, NodeId::from(i), from, 1);
-        }
-        sets.push(set);
-    }
-    trees.depth = 1;
+    let sets = parents
+        .iter()
+        .map(|links| links.iter().map(|&(x, _)| x).collect())
+        .collect();
+    trees.attach_level(&parents, &children);
     (sets, trees)
 }
 
@@ -121,36 +141,42 @@ pub fn extend_trees<E: RoundEngine>(
     sets: &[BTreeSet<u32>],
     trees: &mut QTrees,
 ) -> Vec<BTreeSet<u32>> {
-    let received = exchange_with_neighbors(sim, sets);
+    // Per node: every (x, w) with x in the set received from neighbor w.
+    let heard: Vec<Vec<(u32, NodeId)>> = send_sets(sim, sets, |mine: &mut Vec<_>, from, ids| {
+        mine.extend(ids.iter().map(|&x| (x, from)));
+    });
     let n = sets.len();
     let id_bits = sim.graph().id_bits();
-    let new_level = trees.depth as u32 + 1;
 
-    // Per node: the (root, chosen neighbor) attachments.
+    // Per node: the (root, chosen neighbor) attachments, by root.
     let mut chosen: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); n];
-    let mut out_sets: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
-    for i in 0..n {
+    let mut out_sets: Vec<BTreeSet<u32>> = Vec::with_capacity(n);
+    for (i, mut heard) in heard.into_iter().enumerate() {
         let own = i as u32;
-        let mut union: BTreeSet<u32> = sets[i].clone();
-        for s in received[i].values() {
-            union.extend(s.iter().copied());
-        }
-        union.remove(&own);
-        for &x in union.difference(&sets[i]) {
-            // Smallest neighbor that knows x.
-            let w = received[i]
+        // Sorted by (x, w), so the first pair kept per x names the
+        // smallest neighbor that knows x.
+        heard.sort_unstable();
+        heard.dedup_by_key(|&mut (x, _)| x);
+        let known = &sets[i];
+        chosen[i] = heard
+            .iter()
+            .copied()
+            .filter(|&(x, _)| x != own && !known.contains(&x))
+            .collect();
+        let heard_ids = heard.into_iter().map(|(x, _)| x);
+        out_sets.push(
+            known
                 .iter()
-                .filter(|(_, s)| s.contains(&x))
-                .map(|(w, _)| *w)
-                .min()
-                .expect("x came from some neighbor");
-            chosen[i].push((x, NodeId(w)));
-        }
-        out_sets[i] = union;
+                .copied()
+                .chain(heard_ids)
+                .filter(|&x| x != own)
+                .collect(),
+        );
     }
 
     // Confirmation round(s): v → w_x carrying ID(x). Costs id_bits per
-    // confirmation, pipelined by the engine.
+    // confirmation, pipelined by the engine. Each w_x records the senders
+    // as its descendants in T_x.
     let mut phase = sim.phase::<u32>();
     phase.step_stateless(|v, _in, out| {
         for &(x, w) in &chosen[v.index()] {
@@ -158,29 +184,16 @@ pub fn extend_trees<E: RoundEngine>(
         }
     });
     let max_new = chosen.iter().map(Vec::len).max().unwrap_or(0) as u64;
-    let mut confirmations: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); n];
+    let mut confirmed: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); n];
     phase.settle(
         8 * (max_new + 2) * id_bits as u64,
-        &mut confirmations,
+        &mut confirmed,
         |mine, _w, inbox| {
-            for &(from, x) in inbox {
-                mine.push((from, x));
-            }
+            mine.extend(inbox.iter().map(|&(from, x)| (x, from)));
         },
     );
     drop(phase);
-
-    // Apply attachments: v joins T_x under w; w gains descendant v.
-    for i in 0..n {
-        for &(x, w) in &chosen[i] {
-            trees.attach(x, NodeId::from(i), w, new_level);
-        }
-    }
-    // (The `confirmations` are what lets `w` know its descendants in a
-    // real deployment; `QTrees::attach` records both ends at once, and the
-    // messages above charged the cost.)
-    let _ = confirmations;
-    trees.depth += 1;
+    trees.attach_level(&chosen, &confirmed);
     out_sets
 }
 
@@ -263,7 +276,7 @@ mod tests {
         for v in g.nodes() {
             for &x in &sets[v.index()] {
                 if g.has_edge(v, NodeId(x)) {
-                    assert_eq!(trees.parent[v.index()].get(&x), Some(&Some(NodeId(x))));
+                    assert_eq!(trees.parent_of(v, x), Some(Some(NodeId(x))));
                 }
             }
         }
@@ -279,12 +292,12 @@ mod tests {
         sets = extend_trees(&mut sim, &sets, &mut trees);
         assert_eq!(trees.depth, 2);
         // Node 2 is in tree 0 at level 2 with parent 1.
-        assert_eq!(trees.parent[2].get(&0), Some(&Some(NodeId(1))));
-        assert_eq!(trees.level[2].get(&0), Some(&2));
+        assert_eq!(trees.parent_of(NodeId(2), 0), Some(Some(NodeId(1))));
+        assert_eq!(trees.level_of(NodeId(2), 0), Some(2));
         // Node 3 is in tree 5 at level 2.
-        assert_eq!(trees.parent[3].get(&5), Some(&Some(NodeId(4))));
+        assert_eq!(trees.parent_of(NodeId(3), 5), Some(Some(NodeId(4))));
         // Node 2 not yet in tree 5 (distance 3).
-        assert!(!trees.parent[2].contains_key(&5));
+        assert_eq!(trees.parent_of(NodeId(2), 5), None);
         let _ = sets;
     }
 
@@ -301,7 +314,7 @@ mod tests {
         for &root in &q_nodes {
             let d = powersparse_graphs::bfs::distances(&g, root);
             for v in g.nodes() {
-                if let Some(&lvl) = trees.level[v.index()].get(&root.0) {
+                if let Some(lvl) = trees.level_of(v, root.0) {
                     assert_eq!(Some(lvl), d[v.index()], "root {root} node {v}");
                 }
             }

@@ -41,10 +41,13 @@ pub fn q_broadcast<E: RoundEngine, M: Message>(
             sent: false,
         })
         .collect();
+    // Each root's message size, indexed by root ID, for the forwards.
+    let mut root_bits = vec![0usize; n];
     for (&root, (m, bits)) in msgs {
         let r = NodeId(root);
+        root_bits[r.index()] = *bits;
         assert!(
-            trees.parent[r.index()].get(&root) == Some(&None),
+            trees.parent_of(r, root) == Some(None),
             "message root v{root} is not a tree root"
         );
         state[r.index()].pending.push((root, m.clone(), *bits));
@@ -58,15 +61,13 @@ pub fn q_broadcast<E: RoundEngine, M: Message>(
             for (_, (root, m)) in inbox {
                 s.received.push((*root, m.clone()));
                 // Forward down this tree, with the original bit size.
-                let bits = msgs.get(root).expect("known root").1;
-                s.pending.push((*root, m.clone(), bits));
+                s.pending
+                    .push((*root, m.clone(), root_bits[*root as usize]));
             }
             for (root, m, bits) in s.pending.drain(..) {
-                if let Some(children) = trees.children[v.index()].get(&root) {
-                    for &c in children {
-                        s.sent = true;
-                        out.send(v, c, (root, m.clone()), bits);
-                    }
+                for &(_, c) in trees.children_of(v, root) {
+                    s.sent = true;
+                    out.send(v, c, (root, m.clone()), bits);
                 }
             }
         });
@@ -173,11 +174,9 @@ pub fn q_message<E: RoundEngine, M: Message>(
                 s.pending.push(((*root, tuples.clone()), bits));
             }
             for ((root, tuples), bits) in s.pending.drain(..) {
-                if let Some(children) = trees.children[v.index()].get(&root) {
-                    for &c in children {
-                        s.sent = true;
-                        out.send(v, c, (root, tuples.clone()), bits);
-                    }
+                for &(_, c) in trees.children_of(v, root) {
+                    s.sent = true;
+                    out.send(v, c, (root, tuples.clone()), bits);
                 }
             }
         });

@@ -116,8 +116,8 @@ impl<'g, P: Probe> Simulator<'g, P> {
         &self.metrics
     }
 
-    /// Charges `r` rounds without running them. Only used for
-    /// cost-accounting substitutions documented in DESIGN.md (the charge
+    /// Charges `r` rounds without running them. Only used for the
+    /// charged rounds of the README's *Substitutions* (the charge
     /// is also recorded separately in [`Metrics::charged_rounds`]). An
     /// attached probe sees `r` zeroed observations so the trace length
     /// stays equal to [`Metrics::rounds`].

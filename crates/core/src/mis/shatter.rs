@@ -22,8 +22,8 @@
 //!    `O(log_N n)` executions in parallel (they fit one bandwidth —
 //!    demonstrated by `khop_beep_multi`), we run them as retries on the
 //!    cluster's sub-simulator and charge the rounds of the successful
-//!    execution (same wall-clock as the parallel composition; DESIGN.md
-//!    §3).
+//!    execution (same wall-clock as the parallel composition; README,
+//!    *Substitutions*: charged rounds).
 
 use crate::nd::{build_ball_graph, power_nd, NdError};
 use crate::params::TheoryParams;

@@ -1,12 +1,13 @@
 //! Theory constants, with a paper-faithful preset and a laptop-scale
-//! preset (DESIGN.md §3, substitution 4).
+//! preset (README, *Substitutions*: scaled constants).
 //!
 //! The paper's constants (sampling factor 24, degree bound `72 log n`,
 //! `8 log n`-wise independence, …) make every bound vacuous at simulation
 //! scales — e.g. `72 log₂ n > n` for all `n ≤ 512`. Tests that verify the
 //! stated bounds verbatim use [`TheoryParams::paper`]; experiments that
 //! need the bounds to *bite* (so the asymptotic shape is visible) use
-//! [`TheoryParams::scaled`] and record that choice in EXPERIMENTS.md.
+//! [`TheoryParams::scaled`], as every paper table and suite scenario
+//! does.
 
 /// Tunable constants of the sparsification and shattering machinery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,8 +24,8 @@ pub struct TheoryParams {
     /// Independence used by the hash family: `kwise_factor · log₂ n`-wise.
     /// Paper: 8.
     pub kwise_factor: usize,
-    /// Budget for the deterministic seed scan (DESIGN.md §3,
-    /// substitution 1).
+    /// Budget for the deterministic seed scan (README,
+    /// *Substitutions*).
     pub seed_attempts: u64,
     /// Pre-shattering length factor: `Θ(shatter_factor · log Δ)` steps.
     pub shatter_factor: f64,

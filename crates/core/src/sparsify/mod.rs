@@ -11,8 +11,8 @@
 //!
 //! The per-stage sampling is controlled by a [`SamplingStrategy`]:
 //! Algorithm 1's randomized sampling, or Algorithm 2's derandomization
-//! with one of the two strategies of DESIGN.md §3 (deterministic seed
-//! scan, or exact bit-by-bit conditional expectations).
+//! with one of two strategies: the deterministic seed scan (README,
+//! *Substitutions*) or exact bit-by-bit conditional expectations.
 
 mod nd;
 mod power;
@@ -29,7 +29,8 @@ pub enum SamplingStrategy {
         /// RNG seed.
         seed: u64,
     },
-    /// Algorithm 2 with the deterministic seed scan of DESIGN.md §3:
+    /// Algorithm 2 with the deterministic seed scan (README,
+    /// *Substitutions*):
     /// candidates are evaluated with a real convergecast per candidate
     /// and the first seed with zero bad events wins.
     SeedSearch,

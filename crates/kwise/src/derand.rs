@@ -1,4 +1,5 @@
-//! Derandomization strategies (DESIGN.md §3, substitution 1).
+//! Derandomization strategies (README, *Substitutions*: deterministic
+//! seed scan).
 //!
 //! Both strategies produce a seed under which **zero bad events** occur.
 //! The existence of such a seed is exactly the paper's argument in

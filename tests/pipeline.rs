@@ -188,3 +188,50 @@ fn corollary_6_2_round_guarantee_scales() {
         r[0]
     );
 }
+
+/// Runs Theorem 1.1 on the golden instance and returns
+/// `(rounds, messages, ruling set, |Q|)`.
+fn theorem_1_1_golden_run(k: usize) -> (u64, u64, Vec<u32>, usize) {
+    let g = generators::connected_sparse_gnp(2000, 8.0, 1);
+    let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+    let out = det_ruling_set_k2(&mut sim, k, &TheoryParams::scaled(), 0);
+    assert!(check::is_ruling_set(&g, &out.ruling_set, k + 1, k * k));
+    let m = sim.metrics();
+    let members = out.ruling_set.iter().map(|v| v.0).collect();
+    let q_size = out.q.iter().filter(|&&b| b).count();
+    (m.rounds, m.messages, members, q_size)
+}
+
+/// Golden pin of Theorem 1.1 at k = 2 on the sequential engine: rounds,
+/// messages and the exact ruling set. Any change to the I3 tree layer
+/// (Lemmas 4.1/4.2) or the greedy MIS that moves an output or a send
+/// order shows here.
+#[test]
+fn theorem_1_1_golden_k2() {
+    let (rounds, messages, members, q_size) = theorem_1_1_golden_run(2);
+    assert_eq!((rounds, messages, q_size), (49, 364_492, 2000));
+    let expect: [u32; 139] = [
+        0, 1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 16, 18, 19, 20, 24, 25, 26, 28, 38, 39, 41, 43, 44, 47,
+        48, 49, 50, 52, 58, 59, 63, 66, 67, 68, 72, 88, 89, 94, 98, 101, 105, 107, 113, 114, 117,
+        128, 135, 153, 158, 161, 164, 175, 181, 188, 193, 195, 196, 201, 221, 223, 224, 225, 240,
+        254, 259, 261, 272, 284, 285, 295, 301, 308, 310, 337, 353, 361, 366, 373, 379, 383, 436,
+        437, 443, 450, 471, 485, 502, 568, 607, 608, 614, 648, 651, 660, 670, 676, 685, 696, 749,
+        756, 764, 791, 806, 824, 826, 849, 863, 877, 881, 927, 978, 980, 1024, 1042, 1060, 1069,
+        1077, 1110, 1119, 1141, 1156, 1209, 1307, 1318, 1322, 1365, 1406, 1490, 1551, 1782, 1806,
+        1814, 1865, 1900, 1908, 1962, 1966, 1972,
+    ];
+    assert_eq!(members, expect);
+}
+
+/// Golden pin of Theorem 1.1 at k = 3: the sparsification runs sampling
+/// stages, so `QTrees::retain_roots` drops roots and `q_broadcast`
+/// carries stage announcements, which the k = 2 pin never exercises.
+#[test]
+fn theorem_1_1_golden_k3() {
+    let (rounds, messages, members, q_size) = theorem_1_1_golden_run(3);
+    assert_eq!((rounds, messages, q_size), (146, 464_489, 52));
+    assert_eq!(
+        members,
+        [36, 84, 305, 546, 552, 553, 607, 637, 713, 1331, 1992]
+    );
+}

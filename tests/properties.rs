@@ -5,9 +5,9 @@ use powersparse::mis::{luby_mis, mis_power, PostShattering};
 use powersparse::params::TheoryParams;
 use powersparse::ruling::ruling_set_with_balls;
 use powersparse::sparsify::{sparsify_power, SamplingStrategy};
-use powersparse_congest::primitives::khop_beep;
+use powersparse_congest::primitives::{extend_trees, init_knowledge_and_trees, khop_beep};
 use powersparse_congest::sim::{SimConfig, Simulator};
-use powersparse_graphs::{check, generators, power, subgraph};
+use powersparse_graphs::{bfs, check, generators, power, subgraph, NodeId};
 use proptest::prelude::*;
 
 proptest! {
@@ -107,6 +107,57 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// Lemma 4.1's trees are BFS trees. After `init_knowledge_and_trees`
+    /// and `s - 1` calls of `extend_trees`, a node is in the tree of root
+    /// `x` exactly when `dist(x, v) ≤ s`, at level `dist(x, v)`, below its
+    /// smallest-ID neighbor one level up; and each node's children in a
+    /// tree are exactly the nodes whose parent it is, in ascending order.
+    #[test]
+    fn extend_trees_builds_bfs_trees(
+        n in 8usize..120, s in 1usize..4, seed in 0u64..1000, q_seed in 0u64..1000,
+    ) {
+        let g = generators::connected_sparse_gnp(n, 3.0, seed);
+        let q: Vec<bool> = (0..n as u64)
+            .map(|i| (i ^ q_seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 == 0)
+            .collect();
+        let mut sim = Simulator::new(&g, SimConfig::for_graph(&g));
+        let (mut sets, mut trees) = init_knowledge_and_trees(&mut sim, &q);
+        for _ in 1..s {
+            sets = extend_trees(&mut sim, &sets, &mut trees);
+        }
+        prop_assert_eq!(trees.depth, s);
+        prop_assert_eq!(trees.roots(), generators::members(&q));
+        let mut inverse = vec![Vec::new(); n];
+        for x in g.nodes().filter(|x| q[x.index()]) {
+            let d = bfs::distances(&g, x);
+            for v in g.nodes() {
+                let dv = d[v.index()].filter(|&dv| dv as usize <= s);
+                prop_assert_eq!(trees.level_of(v, x.0), dv, "root {} node {}", x, v);
+                let expect_parent = match dv {
+                    None => None,
+                    Some(0) => Some(None),
+                    Some(dv) => Some(g.neighbors(v).iter().copied()
+                        .find(|w| d[w.index()] == Some(dv - 1))),
+                };
+                prop_assert_eq!(trees.parent_of(v, x.0), expect_parent);
+                if let Some(Some(p)) = expect_parent {
+                    inverse[p.index()].push((x.0, v));
+                }
+            }
+        }
+        for w in g.nodes() {
+            let mut have: Vec<(u32, NodeId)> = Vec::new();
+            for root in generators::members(&q) {
+                let kids = trees.children_of(w, root.0);
+                prop_assert!(kids.windows(2).all(|p| p[0].1 < p[1].1));
+                prop_assert!(kids.iter().all(|&(r, _)| r == root.0));
+                have.extend_from_slice(kids);
+            }
+            inverse[w.index()].sort_unstable();
+            prop_assert_eq!(&have, &inverse[w.index()], "children of {}", w);
         }
     }
 }
